@@ -17,27 +17,20 @@ GcModel::onGcObserved()
     if (history_.size() > cfg_.historyWindow)
         history_.pop_front();
     intervalCounter_ = 0;
+    updateThreshold();
 }
 
-uint32_t
-GcModel::thresholdIntervals() const
+void
+GcModel::updateThreshold()
 {
+    threshold_ = 0;
     if (history_.size() < cfg_.minHistory)
-        return 0;
+        return;
     std::vector<uint32_t> v(history_.begin(), history_.end());
     std::sort(v.begin(), v.end());
     const auto idx = static_cast<size_t>(
         std::floor(cfg_.quantile * static_cast<double>(v.size() - 1)));
-    return std::max<uint32_t>(1, v[idx]);
-}
-
-bool
-GcModel::gcExpectedOnNextFlush() const
-{
-    const uint32_t thr = thresholdIntervals();
-    if (thr == 0)
-        return false;
-    return intervalCounter_ + 1 >= thr;
+    threshold_ = std::max<uint32_t>(1, v[idx]);
 }
 
 void
@@ -45,6 +38,7 @@ GcModel::resetHistory()
 {
     history_.clear();
     intervalCounter_ = 0;
+    updateThreshold();
 }
 
 void
@@ -68,6 +62,7 @@ GcModel::loadState(recovery::StateReader &r)
     history_.clear();
     for (uint64_t i = 0; i < n; ++i)
         history_.push_back(r.u32());
+    updateThreshold();
     return r.ok();
 }
 

@@ -46,7 +46,10 @@ class GcModel
      * True once the counter (including the pending flush) reaches the
      * configured quantile of the recorded interval distribution.
      */
-    bool gcExpectedOnNextFlush() const;
+    bool gcExpectedOnNextFlush() const
+    {
+        return threshold_ != 0 && intervalCounter_ + 1 >= threshold_;
+    }
 
     /** Calibrator: drop stale history (paper: "reset the interval
      *  distribution to remove the current, ineffective history"). */
@@ -62,11 +65,14 @@ class GcModel
     bool loadState(recovery::StateReader &r);
 
   private:
-    /** Current quantile estimate (0 when history too short). */
-    uint32_t thresholdIntervals() const;
+    /** Recompute threshold_ after history_ changed. */
+    void updateThreshold();
 
     GcModelConfig cfg_; // snapshot:skip(construction-time config; loadState only validates it against the checkpoint)
     uint32_t intervalCounter_ = 0;
+    /// The configured quantile of history_ (0 while it is too short).
+    /// Declared here it fills padding, so GcModel keeps its size.
+    uint32_t threshold_ = 0; // snapshot:skip(derived from history_; loadState recomputes it)
     std::deque<uint32_t> history_;
 };
 

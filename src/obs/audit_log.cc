@@ -1,13 +1,17 @@
 #include "obs/audit_log.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <utility>
 
 namespace ssdcheck::obs {
 
-std::string
+std::string_view
 toString(AuditCause c)
 {
     switch (c) {
@@ -173,81 +177,80 @@ namespace {
 /** Fields serialized per record, in line order. */
 struct FieldSpec
 {
-    const char *key;
+    std::string_view key; ///< `"name":`, exactly as it opens the field.
     int64_t (*get)(const AuditRecord &);
     void (*set)(AuditRecord &, int64_t);
 };
 
 constexpr FieldSpec kFields[] = {
-    {"submit_ns", [](const AuditRecord &r) { return r.submit.ns(); },
+    {"\"submit_ns\":", [](const AuditRecord &r) { return r.submit.ns(); },
      [](AuditRecord &r, int64_t v) { r.submit = sim::SimTime{v}; }},
-    {"actual_ns", [](const AuditRecord &r) { return r.actualNs; },
+    {"\"actual_ns\":", [](const AuditRecord &r) { return r.actualNs; },
      [](AuditRecord &r, int64_t v) { r.actualNs = v; }},
-    {"eet_ns", [](const AuditRecord &r) { return r.predictedEetNs; },
+    {"\"eet_ns\":", [](const AuditRecord &r) { return r.predictedEetNs; },
      [](AuditRecord &r, int64_t v) { r.predictedEetNs = v; }},
-    {"type",
+    {"\"type\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.type); },
      [](AuditRecord &r, int64_t v) { r.type = static_cast<uint8_t>(v); }},
-    {"status",
+    {"\"status\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.status); },
      [](AuditRecord &r, int64_t v) { r.status = static_cast<uint8_t>(v); }},
-    {"attempts",
+    {"\"attempts\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.attempts); },
      [](AuditRecord &r, int64_t v) {
          r.attempts = static_cast<uint32_t>(v);
      }},
-    {"pred_hl",
+    {"\"pred_hl\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.predictedHl); },
      [](AuditRecord &r, int64_t v) { r.predictedHl = v != 0; }},
-    {"actual_hl",
+    {"\"actual_hl\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.actualHl); },
      [](AuditRecord &r, int64_t v) { r.actualHl = v != 0; }},
-    {"flush_expected",
+    {"\"flush_expected\":",
      [](const AuditRecord &r) {
          return static_cast<int64_t>(r.flushExpected);
      },
      [](AuditRecord &r, int64_t v) { r.flushExpected = v != 0; }},
-    {"gc_expected",
+    {"\"gc_expected\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.gcExpected); },
      [](AuditRecord &r, int64_t v) { r.gcExpected = v != 0; }},
-    {"volume",
+    {"\"volume\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.volume); },
      [](AuditRecord &r, int64_t v) { r.volume = static_cast<uint32_t>(v); }},
-    {"buffer_counter",
+    {"\"buffer_counter\":",
      [](const AuditRecord &r) {
          return static_cast<int64_t>(r.bufferCounter);
      },
      [](AuditRecord &r, int64_t v) {
          r.bufferCounter = static_cast<uint32_t>(v);
      }},
-    {"buffer_size",
+    {"\"buffer_size\":",
      [](const AuditRecord &r) { return static_cast<int64_t>(r.bufferSize); },
      [](AuditRecord &r, int64_t v) {
          r.bufferSize = static_cast<uint32_t>(v);
      }},
-    {"gc_interval_counter",
+    {"\"gc_interval_counter\":",
      [](const AuditRecord &r) {
          return static_cast<int64_t>(r.gcIntervalCounter);
      },
      [](AuditRecord &r, int64_t v) {
          r.gcIntervalCounter = static_cast<uint32_t>(v);
      }},
-    {"flush_estimate_ns",
+    {"\"flush_estimate_ns\":",
      [](const AuditRecord &r) { return r.flushEstimateNs; },
      [](AuditRecord &r, int64_t v) { r.flushEstimateNs = v; }},
-    {"gc_estimate_ns", [](const AuditRecord &r) { return r.gcEstimateNs; },
+    {"\"gc_estimate_ns\":", [](const AuditRecord &r) { return r.gcEstimateNs; },
      [](AuditRecord &r, int64_t v) { r.gcEstimateNs = v; }},
 };
 
-/** Parse `"key":<int>` out of one JSONL line. */
+/** Parse the integer after @p key (`"name":`) out of one JSONL line. */
 bool
-findInt(const std::string &line, const char *key, int64_t *out)
+findInt(const std::string &line, std::string_view key, int64_t *out)
 {
-    const std::string needle = std::string("\"") + key + "\":";
-    const size_t pos = line.find(needle);
+    const size_t pos = line.find(key);
     if (pos == std::string::npos)
         return false;
-    const char *p = line.c_str() + pos + needle.size();
+    const char *p = line.c_str() + pos + key.size();
     char *end = nullptr;
     const long long v = std::strtoll(p, &end, 10);
     if (end == p)
@@ -256,23 +259,66 @@ findInt(const std::string &line, const char *key, int64_t *out)
     return true;
 }
 
+/** Output block: writeJsonl hands the stream one block per write. */
+constexpr size_t kBlockBytes = 64 * 1024;
+
+constexpr std::string_view kCauseKey = ",\"cause\":\"";
+constexpr std::string_view kLineEnd = "\"}\n";
+
+/** Longest line: every field at 20 characters, the longest cause. */
+constexpr size_t kMaxLineBytes = [] {
+    size_t n = kCauseKey.size() + std::string_view("unmodeled-flush").size() +
+               kLineEnd.size();
+    for (const FieldSpec &f : kFields)
+        n += 1 + f.key.size() + 20;
+    return n;
+}();
+
+char *
+append(char *p, std::string_view text)
+{
+    std::memcpy(p, text.data(), text.size());
+    return p + text.size();
+}
+
+/** Field @p I of @p r: separator, key text, decimal value. */
+template <size_t I>
+char *
+renderField(char *p, const AuditRecord &r)
+{
+    constexpr FieldSpec f = kFields[I];
+    *p++ = I == 0 ? '{' : ',';
+    p = append(p, f.key);
+    return std::to_chars(p, p + 20, f.get(r)).ptr;
+}
+
+template <size_t... I>
+char *
+renderFields(char *p, const AuditRecord &r, std::index_sequence<I...>)
+{
+    ((p = renderField<I>(p, r)), ...);
+    return p;
+}
+
 } // namespace
 
 void
 AuditLog::writeJsonl(std::ostream &os) const
 {
+    std::vector<char> block(kBlockBytes);
+    char *const begin = block.data();
+    char *p = begin;
     for (const AuditRecord &r : records_) {
-        os << '{';
-        bool first = true;
-        for (const FieldSpec &f : kFields) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << '"' << f.key << "\":" << f.get(r);
+        if (kBlockBytes - static_cast<size_t>(p - begin) < kMaxLineBytes) {
+            os.write(begin, p - begin);
+            p = begin;
         }
-        os << ",\"cause\":\""
-           << toString(classifyAudit(r, gcThresholdNs_)) << "\"}\n";
+        p = renderFields(p, r, std::make_index_sequence<std::size(kFields)>{});
+        p = append(p, kCauseKey);
+        p = append(p, toString(classifyAudit(r, gcThresholdNs_)));
+        p = append(p, kLineEnd);
     }
+    os.write(begin, p - begin);
 }
 
 bool

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/sim_time.h"
@@ -45,7 +46,7 @@ enum class AuditCause : uint8_t
 };
 
 /** Human-readable name of an AuditCause. */
-std::string toString(AuditCause c);
+std::string_view toString(AuditCause c);
 
 /** One completed request as the model saw it. */
 struct AuditRecord
@@ -134,7 +135,10 @@ class AuditLog
     /** Bucket every record by cause. */
     AuditReport analyze() const;
 
-    /** One JSON object per line (machine-readable forensics). */
+    /**
+     * One JSON object per line (machine-readable forensics). Lines are
+     * rendered into a 64 KB block that goes to @p os whole.
+     */
     void writeJsonl(std::ostream &os) const;
 
     /**

@@ -12,9 +12,18 @@ namespace {
 /** Flush granularity: bounds encoder memory in spill mode. */
 constexpr size_t kFlushBytes = 64 * 1024;
 
+size_t
+slotOf(const char *s, size_t mask)
+{
+    const auto h = reinterpret_cast<uintptr_t>(s);
+    return (h >> 3) * 0x9E3779B97F4A7C15ull >> 32 & mask;
+}
+
 } // namespace
 
-TraceBinaryEncoder::TraceBinaryEncoder(std::ostream &os) : os_(os)
+TraceBinaryEncoder::TraceBinaryEncoder(const TraceRecorder &rec,
+                                       std::ostream &os)
+    : rec_(rec), os_(os), slots_(64)
 {
     os_.write(kTraceBinaryMagic, sizeof kTraceBinaryMagic);
     w_.u32(kTraceBinaryVersion);
@@ -23,26 +32,61 @@ TraceBinaryEncoder::TraceBinaryEncoder(std::ostream &os) : os_(os)
 uint16_t
 TraceBinaryEncoder::intern(const char *s)
 {
-    assert(ids_.size() < 0xFFFF && "trace binary string table overflow");
-    const auto [it, inserted] =
-        ids_.try_emplace(s, static_cast<uint16_t>(ids_.size()));
-    if (inserted) {
-        w_.u8(kTagStringDef);
-        w_.u16(it->second);
-        w_.str(std::string(s));
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = slotOf(s, mask);; i = (i + 1) & mask) {
+        if (slots_[i].s == s)
+            return slots_[i].id;
+        if (slots_[i].s == nullptr)
+            return define(s, i);
     }
-    return it->second;
+}
+
+uint16_t
+TraceBinaryEncoder::define(const char *s, size_t slot)
+{
+    assert(defined_ < 0xFFFF && "trace binary string table overflow");
+    const auto id = static_cast<uint16_t>(defined_++);
+    w_.u8(kTagStringDef);
+    w_.u16(id);
+    w_.str(s);
+    slots_[slot] = Slot{s, id};
+    if (defined_ * 2 > slots_.size()) {
+        std::vector<Slot> bigger(slots_.size() * 2);
+        const size_t mask = bigger.size() - 1;
+        for (const Slot &old : slots_) {
+            if (old.s == nullptr)
+                continue;
+            size_t i = slotOf(old.s, mask);
+            while (bigger[i].s != nullptr)
+                i = (i + 1) & mask;
+            bigger[i] = old;
+        }
+        slots_ = std::move(bigger);
+    }
+    return id;
+}
+
+uint16_t
+TraceBinaryEncoder::recorderString(uint16_t recId)
+{
+    if (recId < byRecorderId_.size() && byRecorderId_[recId] != 0)
+        return static_cast<uint16_t>(byRecorderId_[recId] - 1);
+    if (recId >= byRecorderId_.size())
+        byRecorderId_.resize(rec_.strings().size(), 0);
+    // The pointer may already be defined as an arg key.
+    const uint16_t id = intern(rec_.strings()[recId]);
+    byRecorderId_[recId] = static_cast<uint16_t>(id + 1);
+    return id;
 }
 
 void
-TraceBinaryEncoder::event(const TraceRecorder &rec,
-                          const TraceRecorder::Event &e,
-                          const TraceArg *args)
+TraceBinaryEncoder::event(const TraceRecorder::Event &e)
 {
     // Intern before emitting the event tag so every StringDef lands
     // ahead of the record that references it.
-    const uint16_t cat = intern(rec.strings()[e.catId]);
-    const uint16_t name = intern(rec.strings()[e.nameId]);
+    const TraceArg *args = rec_.eventArgs(e);
+    const uint16_t cat = recorderString(e.catId);
+    const uint16_t name = recorderString(e.nameId);
     uint16_t keyIds[TraceRecorder::kMaxArgs];
     for (uint8_t i = 0; i < e.numArgs; ++i)
         keyIds[i] = intern(args[i].key);
@@ -65,17 +109,17 @@ TraceBinaryEncoder::event(const TraceRecorder &rec,
 }
 
 void
-TraceBinaryEncoder::finish(const TraceRecorder &rec)
+TraceBinaryEncoder::finish()
 {
     // Metadata last: it can be registered at any point of a spilled
     // run, and JSON rendering orders it from the replayed vectors, not
     // from stream position.
-    for (const auto &[pid, name] : rec.processNames()) {
+    for (const auto &[pid, name] : rec_.processNames()) {
         w_.u8(kTagProcessName);
         w_.u32(pid);
         w_.str(name);
     }
-    for (const auto &[track, name] : rec.threadNames()) {
+    for (const auto &[track, name] : rec_.threadNames()) {
         w_.u8(kTagThreadName);
         w_.u32(track.pid);
         w_.u32(track.tid);
@@ -89,20 +133,18 @@ TraceBinaryEncoder::finish(const TraceRecorder &rec)
 void
 TraceBinaryEncoder::flush()
 {
-    const std::vector<uint8_t> bytes = w_.take();
-    os_.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    os_.write(reinterpret_cast<const char *>(w_.bytes().data()),
+              static_cast<std::streamsize>(w_.size()));
+    w_.clear();
 }
 
 void
 writeTraceBinary(const TraceRecorder &rec, std::ostream &os)
 {
-    TraceBinaryEncoder enc(os);
-    for (size_t i = rec.firstLiveEvent(); i < rec.events(); ++i) {
-        const TraceRecorder::Event &e = rec.eventAt(i);
-        enc.event(rec, e, rec.eventArgs(e));
-    }
-    enc.finish(rec);
+    TraceBinaryEncoder enc(rec, os);
+    for (size_t i = rec.firstLiveEvent(); i < rec.events(); ++i)
+        enc.event(rec.eventAt(i));
+    enc.finish();
 }
 
 bool

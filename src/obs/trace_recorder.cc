@@ -203,17 +203,15 @@ void
 TraceRecorder::spillTo(std::ostream &os)
 {
     assert(count_ == 0 && "spill mode must be enabled before recording");
-    spill_ = std::make_unique<TraceBinaryEncoder>(os);
+    spill_ = std::make_unique<TraceBinaryEncoder>(*this, os);
 }
 
 void
 TraceRecorder::spillOldestChunk()
 {
     for (size_t i = spilledEvents_; i < spilledEvents_ + kChunkEvents;
-         ++i) {
-        const Event &e = at(i);
-        spill_->event(*this, e, argsAt(e.argPos));
-    }
+         ++i)
+        spill_->event(at(i));
     spilledEvents_ += kChunkEvents;
     // Rotate the drained event chunk behind the live window for reuse.
     std::unique_ptr<Event[]> c = std::move(chunks_.front());
@@ -237,12 +235,10 @@ TraceRecorder::finishSpill()
 {
     if (spill_ == nullptr)
         return;
-    for (size_t i = spilledEvents_; i < count_; ++i) {
-        const Event &e = at(i);
-        spill_->event(*this, e, argsAt(e.argPos));
-    }
+    for (size_t i = spilledEvents_; i < count_; ++i)
+        spill_->event(at(i));
     spilledEvents_ = count_;
-    spill_->finish(*this);
+    spill_->finish();
     spill_.reset();
 }
 

@@ -50,34 +50,7 @@ fnv1a(const std::string &s)
 }
 
 void
-StateWriter::u16(uint16_t v)
-{
-    bytes_.push_back(static_cast<uint8_t>(v));
-    bytes_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-StateWriter::u32(uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-StateWriter::u64(uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-StateWriter::f64(double v)
-{
-    u64(std::bit_cast<uint64_t>(v));
-}
-
-void
-StateWriter::str(const std::string &s)
+StateWriter::str(std::string_view s)
 {
     u32(static_cast<uint32_t>(s.size()));
     raw(reinterpret_cast<const uint8_t *>(s.data()), s.size());

@@ -17,10 +17,12 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ssdcheck::recovery {
@@ -32,20 +34,25 @@ uint32_t crc32(const std::vector<uint8_t> &bytes);
 /** FNV-1a 64-bit hash of a string (config fingerprinting). */
 uint64_t fnv1a(const std::string &s);
 
-/** Append-only little-endian byte sink for snapshot payloads. */
+/**
+ * Append-only little-endian byte sink for snapshot payloads and the
+ * binary trace encoder. A fixed-width field is one capacity check and
+ * one store; clear() keeps the capacity, so a streaming producer can
+ * refill one block instead of growing a fresh vector per flush.
+ */
 class StateWriter
 {
   public:
-    void u8(uint8_t v) { bytes_.push_back(v); }
-    void u16(uint16_t v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
+    void u8(uint8_t v) { put(v); }
+    void u16(uint16_t v) { put(v); }
+    void u32(uint32_t v) { put(v); }
+    void u64(uint64_t v) { put(v); }
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-    void f64(double v);
+    void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
     void boolean(bool v) { u8(v ? 1 : 0); }
 
     /** Length-prefixed UTF-8/opaque string (u32 length). */
-    void str(const std::string &s);
+    void str(std::string_view s);
 
     /** Raw bytes, no length prefix (caller wrote a count already). */
     void raw(const uint8_t *data, size_t len);
@@ -54,7 +61,23 @@ class StateWriter
     std::vector<uint8_t> take() { return std::move(bytes_); }
     size_t size() const { return bytes_.size(); }
 
+    /** Drop the contents, keep the capacity. */
+    void clear() { bytes_.clear(); }
+
   private:
+    template <typename T>
+    void put(T v)
+    {
+        uint8_t le[sizeof v];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(le, &v, sizeof v);
+        } else {
+            for (size_t i = 0; i < sizeof v; ++i)
+                le[i] = static_cast<uint8_t>(v >> (8 * i));
+        }
+        bytes_.insert(bytes_.end(), le, le + sizeof v);
+    }
+
     std::vector<uint8_t> bytes_;
 };
 

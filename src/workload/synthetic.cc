@@ -14,6 +14,7 @@ buildMixedTrace(const MixedTraceParams &p, std::string name)
     assert(p.spanPages > 4);
     sim::Rng rng(p.seed);
     Trace t(std::move(name));
+    t.reserve(p.requests);
 
     uint64_t cursor = rng.nextBelow(p.spanPages);
     for (uint64_t i = 0; i < p.requests; ++i) {
@@ -57,6 +58,7 @@ buildRwMixedTrace(uint64_t requests, uint64_t spanPages, uint64_t seed)
 {
     sim::Rng rng(seed);
     Trace t("RW Mixed");
+    t.reserve(requests);
     for (uint64_t i = 0; i < requests; ++i) {
         IoRequest req;
         req.type = rng.bernoulli(0.5) ? IoType::Write : IoType::Read;
@@ -75,6 +77,7 @@ buildHotColdWriteTrace(uint64_t requests, uint64_t hotPages,
     assert(hotPages > 0 && hotPages <= spanPages);
     sim::Rng rng(seed);
     Trace t("hot-cold-write");
+    t.reserve(requests);
     for (uint64_t i = 0; i < requests; ++i) {
         IoRequest req;
         req.type = IoType::Write;

@@ -52,6 +52,9 @@ class Trace
     /** Append a request with arrival 0 (closed-loop use). */
     void add(const blockdev::IoRequest &req);
 
+    /** Pre-size for @p n records (builders know their length). */
+    void reserve(size_t n) { records_.reserve(n); }
+
     const std::string &name() const { return name_; }
     void setName(std::string n) { name_ = std::move(n); }
 

@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/accuracy.h"
 #include "core/ssdcheck.h"
 #include "ssd/presets.h"
@@ -24,6 +26,14 @@ struct Floors
     double nlFloor;
     double hlFloor;
 };
+
+// gtest would otherwise print the raw bytes of Floors, padding included,
+// and those uninitialized bytes end up in the listed test names.
+void PrintTo(const Floors &f, std::ostream *os)
+{
+    *os << "SSD " << ssd::toString(f.model) << " (NL > " << f.nlFloor
+        << ", HL > " << f.hlFloor << ")";
+}
 
 class AccuracyFloorTest : public ::testing::TestWithParam<Floors>
 {
