@@ -17,21 +17,27 @@ PageMapper::PageMapper(nand::NandArray &nand, uint64_t userPages,
     assert(userPages > 0);
     assert(userPages < nand.totalPages() &&
            "need overprovisioning for GC to make progress");
+    assert(nand.totalPages() < kUnmapped &&
+           "page maps hold 32-bit entries; SsdConfig::validate() caps "
+           "a volume below 2^32 - 1 physical pages");
     ppb_ = nand.geometry().pagesPerBlock;
     ppbShift_ = std::has_single_bit(ppb_)
                     ? static_cast<uint32_t>(std::countr_zero(ppb_))
                     : 0;
     totalBlocks_ = nand.totalBlocks();
     totalPages_ = nand.totalPages();
-    lpnToPpn_.assign(userPages, nand::kInvalidPpn);
-    ppnToLpn_.assign(nand.totalPages(), kInvalidLpn);
+    lpnToPpn_.assign(userPages, kUnmapped);
+    ppnToLpn_.assign(nand.totalPages(), kUnmapped);
     validWords_.assign((totalPages_ + 63) / 64, 0);
     blockValid_.assign(nand.totalBlocks(), 0);
     blockFree_.assign(nand.totalBlocks(), 1);
     blockRetired_.assign(nand.totalBlocks(), 0);
     candidate_.assign(nand.totalBlocks(), 0);
-    buckets_.assign(nand.geometry().pagesPerBlock + 1, {});
-    minBucket_ = nand.geometry().pagesPerBlock + 1;
+    blockWords_ = static_cast<uint32_t>((totalBlocks_ + 63) / 64);
+    summaryWords_ = (blockWords_ + 63) / 64;
+    bucketStride_ = summaryWords_ + blockWords_;
+    bucketBits_.assign(static_cast<size_t>(ppb_ + 1) * bucketStride_, 0);
+    nonEmptyBuckets_.assign((ppb_ + 1 + 63) / 64, 0);
     freeList_.reserve(nand.totalBlocks());
     // Highest block first so allocation proceeds from block 0 upward.
     for (uint64_t b = nand.totalBlocks(); b-- > 0;)
@@ -79,17 +85,20 @@ PageMapper::allocatePage(Stream stream)
 void
 PageMapper::invalidate(Lpn lpn)
 {
-    const nand::Ppn old = lpnToPpn_[lpn.value()];
-    if (old == nand::kInvalidPpn)
+    const uint32_t old = lpnToPpn_[lpn.value()];
+    if (old == kUnmapped)
         return;
-    const nand::Pbn blk = blockOf(old);
-    assert(blockValid_[blk.value()] > 0);
-    --blockValid_[blk.value()];
-    if (candidate_[blk.value()])
-        pushBucket(blk, blockValid_[blk.value()]);
-    markInvalid(old);
-    ppnToLpn_[old.value()] = kInvalidLpn;
-    lpnToPpn_[lpn.value()] = nand::kInvalidPpn;
+    const nand::Ppn oldPpn{old};
+    const uint64_t blk = blockOf(oldPpn).value();
+    assert(blockValid_[blk] > 0);
+    const uint32_t valid = --blockValid_[blk];
+    if (candidate_[blk]) {
+        clearBucketBit(valid + 1, blk);
+        setBucketBit(valid, blk);
+    }
+    markInvalid(oldPpn);
+    ppnToLpn_[old] = kUnmapped;
+    lpnToPpn_[lpn.value()] = kUnmapped;
     --totalValid_;
 }
 
@@ -100,8 +109,8 @@ PageMapper::writePage(Lpn lpn, uint64_t payload)
     invalidate(lpn);
     const nand::Ppn ppn = allocatePage(Stream::Host);
     nand_.programPage(ppn, payload);
-    lpnToPpn_[lpn.value()] = ppn;
-    ppnToLpn_[ppn.value()] = lpn;
+    lpnToPpn_[lpn.value()] = static_cast<uint32_t>(ppn.value());
+    ppnToLpn_[ppn.value()] = static_cast<uint32_t>(lpn.value());
     markValid(ppn);
     ++blockValid_[blockOf(ppn).value()];
     ++totalValid_;
@@ -111,7 +120,8 @@ nand::Ppn
 PageMapper::lookup(Lpn lpn) const
 {
     assert(lpn.value() < userPages_);
-    return lpnToPpn_[lpn.value()];
+    const uint32_t ppn = lpnToPpn_[lpn.value()];
+    return ppn == kUnmapped ? nand::kInvalidPpn : nand::Ppn{ppn};
 }
 
 bool
@@ -140,8 +150,8 @@ PageMapper::retireFreeBlock(size_t minFreeBlocks)
 void
 PageMapper::trimAll()
 {
-    lpnToPpn_.assign(userPages_, nand::kInvalidPpn);
-    ppnToLpn_.assign(nand_.totalPages(), kInvalidLpn);
+    lpnToPpn_.assign(userPages_, kUnmapped);
+    ppnToLpn_.assign(nand_.totalPages(), kUnmapped);
     validWords_.assign(validWords_.size(), 0);
     freeList_.clear();
     for (uint64_t b = nand_.totalBlocks(); b-- > 0;) {
@@ -160,9 +170,8 @@ PageMapper::trimAll()
     open_[1] = OpenBlock{};
     totalValid_ = 0;
     candidate_.assign(nand_.totalBlocks(), 0);
-    for (auto &bkt : buckets_)
-        bkt.clear();
-    minBucket_ = ppb_ + 1;
+    bucketBits_.assign(bucketBits_.size(), 0);
+    nonEmptyBuckets_.assign(nonEmptyBuckets_.size(), 0);
 }
 
 uint32_t
@@ -173,13 +182,34 @@ PageMapper::blockValidCount(nand::Pbn pbn) const
 }
 
 void
-PageMapper::pushBucket(nand::Pbn b, uint32_t valid) const
+PageMapper::setBucketBit(uint32_t valid, uint64_t b)
 {
-    auto &bkt = buckets_[valid];
-    bkt.push_back(b);
-    std::push_heap(bkt.begin(), bkt.end(), std::greater<>());
-    if (valid < minBucket_)
-        minBucket_ = valid;
+    uint64_t *bucket =
+        &bucketBits_[static_cast<size_t>(valid) * bucketStride_];
+    const uint64_t w = b >> 6;
+    bucket[summaryWords_ + w] |= 1ULL << (b & 63);
+    bucket[w >> 6] |= 1ULL << (w & 63);
+    nonEmptyBuckets_[valid >> 6] |= 1ULL << (valid & 63);
+}
+
+void
+PageMapper::clearBucketBit(uint32_t valid, uint64_t b)
+{
+    uint64_t *bucket =
+        &bucketBits_[static_cast<size_t>(valid) * bucketStride_];
+    const uint64_t w = b >> 6;
+    uint64_t &word = bucket[summaryWords_ + w];
+    word &= ~(1ULL << (b & 63));
+    if (word != 0)
+        return;
+    uint64_t &summary = bucket[w >> 6];
+    summary &= ~(1ULL << (w & 63));
+    if (summary != 0)
+        return;
+    for (uint32_t i = 0; i < summaryWords_; ++i)
+        if (bucket[i] != 0)
+            return;
+    nonEmptyBuckets_[valid >> 6] &= ~(1ULL << (valid & 63));
 }
 
 void
@@ -199,7 +229,7 @@ PageMapper::closeBlock(nand::Pbn b)
     if (nand_.blockWritePointer(b) != ppb_)
         return;
     candidate_[b.value()] = 1;
-    pushBucket(b, blockValid_[b.value()]);
+    setBucketBit(blockValid_[b.value()], b.value());
 }
 
 bool
@@ -212,24 +242,27 @@ PageMapper::isGcCandidate(nand::Pbn pbn) const
 nand::Pbn
 PageMapper::pickVictimGreedy() const
 {
-    const uint32_t ppb = ppb_;
-    // Pop-min over the valid-count buckets, pruning stale entries as
-    // they surface. Each stale entry is discarded exactly once, so the
-    // amortized cost per call is O(1); the winner stays in its bucket
-    // (its entry goes stale when the block is collected).
-    for (uint32_t v = minBucket_; v <= ppb; ++v) {
-        auto &bkt = buckets_[v];
-        while (!bkt.empty()) {
-            const nand::Pbn b = bkt.front();
-            if (candidate_[b.value()] && blockValid_[b.value()] == v) {
-                minBucket_ = v;
-                return b;
-            }
-            std::pop_heap(bkt.begin(), bkt.end(), std::greater<>());
-            bkt.pop_back();
+    // Lowest nonempty bucket, then its first nonzero block word (found
+    // through the summary words), then that word's lowest block. Every
+    // bit is live, so the first hit is the victim.
+    for (size_t i = 0; i < nonEmptyBuckets_.size(); ++i) {
+        if (nonEmptyBuckets_[i] == 0)
+            continue;
+        const size_t v =
+            i * 64 +
+            static_cast<size_t>(std::countr_zero(nonEmptyBuckets_[i]));
+        const uint64_t *bucket = &bucketBits_[v * bucketStride_];
+        for (uint32_t s = 0; s < summaryWords_; ++s) {
+            if (bucket[s] == 0)
+                continue;
+            const uint64_t w =
+                uint64_t{s} * 64 +
+                static_cast<uint64_t>(std::countr_zero(bucket[s]));
+            const auto bit = static_cast<uint64_t>(
+                std::countr_zero(bucket[summaryWords_ + w]));
+            return nand::Pbn{w * 64 + bit};
         }
     }
-    minBucket_ = ppb + 1;
     return kNoVictim;
 }
 
@@ -254,18 +287,18 @@ PageMapper::collectBlock(nand::Pbn victim)
         p += static_cast<unsigned>(std::countr_zero(w));
         if (p >= last)
             break;
-        const Lpn lpn = ppnToLpn_[p];
-        assert(lpn != kInvalidLpn);
+        const uint32_t lpn = ppnToLpn_[p];
+        assert(lpn != kUnmapped);
         // Merge step: read the valid page and re-program it from the
         // GC-open block (paper §II-A "merge operation").
         uint64_t payload = 0;
         nand_.readPage(nand::Ppn{p}, &payload);
         const nand::Ppn dst = allocatePage(Stream::Gc);
         nand_.programPage(dst, payload);
-        lpnToPpn_[lpn.value()] = dst;
+        lpnToPpn_[lpn] = static_cast<uint32_t>(dst.value());
         ppnToLpn_[dst.value()] = lpn;
         markValid(dst);
-        ppnToLpn_[p] = kInvalidLpn;
+        ppnToLpn_[p] = kUnmapped;
         ++blockValid_[blockOf(dst).value()];
         ++moved;
         ++p;
@@ -282,10 +315,15 @@ PageMapper::collectBlock(nand::Pbn victim)
             ++p;
         }
     }
+    // A refresh or wear-leveling victim need not be a candidate; one
+    // that is leaves its bucket before its count is reset.
+    if (candidate_[victim.value()]) {
+        clearBucketBit(blockValid_[victim.value()], victim.value());
+        candidate_[victim.value()] = 0;
+    }
     blockValid_[victim.value()] = 0;
     nand_.eraseBlock(victim);
     blockFree_[victim.value()] = 1;
-    candidate_[victim.value()] = 0; // its bucket entries are stale now
     freeList_.push_back(victim);
     return moved;
 }
@@ -294,7 +332,8 @@ Lpn
 PageMapper::lpnOfPpn(nand::Ppn ppn) const
 {
     assert(ppn.value() < nand_.totalPages());
-    return ppnToLpn_[ppn.value()];
+    const uint32_t lpn = ppnToLpn_[ppn.value()];
+    return lpn == kUnmapped ? kInvalidLpn : Lpn{lpn};
 }
 
 nand::Pbn
@@ -339,15 +378,15 @@ PageMapper::checkConsistency() const
     const uint32_t ppb = ppb_;
     uint64_t validSeen = 0;
     for (uint64_t lpn = 0; lpn < userPages_; ++lpn) {
-        const nand::Ppn ppn = lpnToPpn_[lpn];
-        if (ppn == nand::kInvalidPpn)
+        const uint32_t ppn = lpnToPpn_[lpn];
+        if (ppn == kUnmapped)
             continue;
         ++validSeen;
-        if (ppnToLpn_[ppn.value()] != Lpn{lpn}) {
+        if (ppnToLpn_[ppn] != lpn) {
             err << "inverse map mismatch at lpn " << lpn << "; ";
             break;
         }
-        if (!nand_.isProgrammed(ppn)) {
+        if (!nand_.isProgrammed(nand::Ppn{ppn})) {
             err << "mapped page not programmed at lpn " << lpn << "; ";
             break;
         }
@@ -361,7 +400,7 @@ PageMapper::checkConsistency() const
     // maintained blockValid_ counters must all agree.
     std::vector<uint32_t> counted(nand_.totalBlocks(), 0);
     for (uint64_t p = 0; p < nand_.totalPages(); ++p) {
-        const bool mapped = ppnToLpn_[p] != kInvalidLpn;
+        const bool mapped = ppnToLpn_[p] != kUnmapped;
         if (mapped)
             ++counted[p / ppb];
         if (mapped != isPpnValid(nand::Ppn{p})) {
@@ -398,8 +437,8 @@ PageMapper::checkConsistency() const
     }
 
     // Victim-bucket invariants: the candidate set is exactly the
-    // closed, live, non-open blocks, and every candidate has a fresh
-    // entry in the bucket matching its current valid count.
+    // closed, live, non-open blocks, and the buckets hold exactly the
+    // candidates (checkBuckets).
     for (uint64_t b = 0; b < nand_.totalBlocks(); ++b) {
         const nand::Pbn pbn{b};
         const bool eligible =
@@ -410,32 +449,70 @@ PageMapper::checkConsistency() const
             err << "candidate flag mismatch at block " << b << "; ";
             break;
         }
-        if (candidate_[b]) {
-            const auto &bkt = buckets_[blockValid_[b]];
-            if (std::find(bkt.begin(), bkt.end(), pbn) == bkt.end()) {
-                err << "candidate " << b << " missing from bucket "
-                    << blockValid_[b] << "; ";
-                break;
-            }
-            if (blockValid_[b] < minBucket_) {
-                err << "minBucket hint above candidate " << b << "; ";
-                break;
+    }
+    err << checkBuckets();
+    return err.str();
+}
+
+std::string
+PageMapper::checkBuckets() const
+{
+    // Rebuild each bucket from the candidate flags and valid counts: a
+    // block bit is set exactly when the block is a candidate with that
+    // valid count, a summary bit exactly when its block word is
+    // nonzero, and a nonempty bit exactly when the bucket holds a block.
+    std::vector<uint64_t> want(bucketStride_);
+    for (uint32_t v = 0; v <= ppb_; ++v) {
+        std::fill(want.begin(), want.end(), 0);
+        for (uint64_t b = 0; b < totalBlocks_; ++b)
+            if (candidate_[b] && blockValid_[b] == v)
+                want[summaryWords_ + (b >> 6)] |= 1ULL << (b & 63);
+        bool any = false;
+        for (uint32_t w = 0; w < blockWords_; ++w) {
+            if (want[summaryWords_ + w] != 0) {
+                want[w >> 6] |= 1ULL << (w & 63);
+                any = true;
             }
         }
+        const uint64_t *bucket =
+            &bucketBits_[static_cast<size_t>(v) * bucketStride_];
+        std::ostringstream err;
+        for (uint32_t i = 0; i < bucketStride_; ++i) {
+            const uint64_t diff = bucket[i] ^ want[i];
+            if (diff == 0)
+                continue;
+            const auto bit = static_cast<uint64_t>(std::countr_zero(diff));
+            if (i < summaryWords_) {
+                err << "victim bucket " << v << " summary bit of word "
+                    << uint64_t{i} * 64 + bit << " is wrong; ";
+            } else {
+                err << "block " << uint64_t{i - summaryWords_} * 64 + bit
+                    << ((want[i] >> bit) & 1ULL ? " missing from"
+                                                : " stray in")
+                    << " victim bucket " << v << "; ";
+            }
+            return err.str();
+        }
+        if (((nonEmptyBuckets_[v >> 6] >> (v & 63)) & 1ULL) !=
+            (any ? 1ULL : 0ULL)) {
+            err << "nonempty bit of victim bucket " << v << " is wrong; ";
+            return err.str();
+        }
     }
-    return err.str();
+    return {};
 }
 
 void
 PageMapper::saveState(recovery::StateWriter &w) const
 {
     w.u64(userPages_);
+    // One u64 per entry (the snapshot format predates the 32-bit maps).
     w.u64(lpnToPpn_.size());
-    for (nand::Ppn p : lpnToPpn_)
-        w.u64(p.value());
+    for (uint32_t p : lpnToPpn_)
+        w.u64(p == kUnmapped ? nand::kInvalidPpn.value() : p);
     w.u64(ppnToLpn_.size());
-    for (Lpn l : ppnToLpn_)
-        w.u64(l.value());
+    for (uint32_t l : ppnToLpn_)
+        w.u64(l == kUnmapped ? kInvalidLpn.value() : l);
     w.u64(blockValid_.size());
     for (uint32_t v : blockValid_)
         w.u32(v);
@@ -472,22 +549,27 @@ PageMapper::loadState(recovery::StateReader &r)
         return false;
     }
     for (auto &p : lpnToPpn_) {
-        p = nand::Ppn{r.u64()};
-        if (r.ok() && p != nand::kInvalidPpn && p.value() >= totalPages) {
+        const nand::Ppn ppn{r.u64()};
+        if (r.ok() && ppn != nand::kInvalidPpn &&
+            ppn.value() >= totalPages) {
             r.fail("mapper LPN entry points past end of NAND");
             return false;
         }
+        p = ppn == nand::kInvalidPpn ? kUnmapped
+                                     : static_cast<uint32_t>(ppn.value());
     }
     if (r.u64() != ppnToLpn_.size()) {
         r.fail("mapper PPN table size mismatch");
         return false;
     }
     for (auto &l : ppnToLpn_) {
-        l = Lpn{r.u64()};
-        if (r.ok() && l != kInvalidLpn && l.value() >= userPages_) {
+        const Lpn lpn{r.u64()};
+        if (r.ok() && lpn != kInvalidLpn && lpn.value() >= userPages_) {
             r.fail("mapper PPN entry points past end of volume");
             return false;
         }
+        l = lpn == kInvalidLpn ? kUnmapped
+                               : static_cast<uint32_t>(lpn.value());
     }
     if (r.u64() != blockValid_.size()) {
         r.fail("mapper block table size mismatch");
@@ -548,18 +630,16 @@ PageMapper::loadState(recovery::StateReader &r)
     // map (it is never serialized).
     validWords_.assign(validWords_.size(), 0);
     for (uint64_t p = 0; p < totalPages; ++p)
-        if (ppnToLpn_[p] != kInvalidLpn)
+        if (ppnToLpn_[p] != kUnmapped)
             markValid(nand::Ppn{p});
 
-    // Rebuild the lazy victim buckets fresh from the candidate set.
-    // pickVictimGreedy() prunes stale entries before choosing, so the
-    // fresh buckets select the same victims as the aged ones.
-    for (auto &bkt : buckets_)
-        bkt.clear();
-    minBucket_ = ppb + 1;
+    // Rebuild the victim buckets from the candidate set; they hold
+    // exactly the live candidates, so they match the saved run's.
+    bucketBits_.assign(bucketBits_.size(), 0);
+    nonEmptyBuckets_.assign(nonEmptyBuckets_.size(), 0);
     for (uint64_t b = 0; b < totalBlocks; ++b)
         if (candidate_[b])
-            pushBucket(nand::Pbn{b}, blockValid_[b]);
+            setBucketBit(blockValid_[b], b);
 
     // Full structural validation against the (already restored) NAND
     // state; a payload that passed CRC but mutated semantics must

@@ -13,16 +13,24 @@
  * domains meet, and the typed signatures make a crossed-up argument a
  * compile error instead of a silent corruption.
  *
- * GC victim selection is incremental: closed blocks are bucketed by
- * valid-page count (one lazy min-heap of block numbers per count),
- * maintained on block close / page invalidate / collect, so
- * pickVictimGreedy() is an amortized O(1) pop-min instead of a scan
- * over every physical block. Candidacy is decided once, at block-close
- * time (when the FTL moves its open-block pointer past a fully
- * programmed block) — open and partially-written blocks are never in
- * the buckets at all. The selection result is bit-identical to the
- * previous full scan: lowest block number among the blocks with the
- * fewest valid pages.
+ * GC victim selection is incremental and exact: closed blocks are
+ * bucketed by valid-page count, one block bitmap per count plus a
+ * summary level (one bit per nonzero bitmap word) and one bit per
+ * nonempty bucket. Block close sets a bit, page invalidate moves it
+ * one bucket down, collect and trim clear it, so every bit is live and
+ * pickVictimGreedy() is three count-trailing-zero steps: lowest
+ * nonempty bucket, its first nonzero word, that word's lowest bit.
+ * Candidacy is decided once, at block-close time (when the FTL moves
+ * its open-block pointer past a fully programmed block) — open and
+ * partially-written blocks are never in the buckets at all. The
+ * result is the documented greedy policy: lowest block number among
+ * the blocks with the fewest valid pages. The bitmaps are sized once
+ * at construction ((pagesPerBlock + 1) buckets of one bit per block),
+ * so the hot path never allocates.
+ *
+ * The two page maps hold 32-bit entries (~0u means unmapped), so
+ * SsdConfig::validate() caps a volume below 2^32 - 1 physical pages;
+ * the typed accessors widen them back to Lpn/Ppn.
  */
 #pragma once
 
@@ -73,7 +81,8 @@ class PageMapper
     nand::Ppn lookup(Lpn lpn) const;
 
     /**
-     * Read the payload of logical page @p lpn from NAND.
+     * Read logical page @p lpn from NAND. A null @p payload still
+     * counts the read (read disturb) but skips loading the stamp.
      * @return false when the page was never written (or trimmed).
      */
     bool readPage(Lpn lpn, uint64_t *payload) const;
@@ -112,7 +121,7 @@ class PageMapper
     /**
      * Greedy victim selection: the closed (fully programmed) block
      * with the fewest valid pages, lowest block number first on ties.
-     * Amortized O(1) via the valid-count buckets.
+     * Flat in block count via the valid-count bucket bitmaps.
      * @return the victim, or an invalid Pbn when no block is eligible.
      */
     nand::Pbn pickVictimGreedy() const;
@@ -167,10 +176,10 @@ class PageMapper
     std::string checkConsistency() const;
 
     /**
-     * Serialize the logical FTL state. The lazy victim buckets are
-     * derived state and are not serialized: loadState() rebuilds them
-     * fresh from the candidate set, which yields the same
-     * pickVictimGreedy() results as any lazily-aged bucket contents.
+     * Serialize the logical FTL state. The victim buckets are derived
+     * state and are not serialized: loadState() rebuilds them from the
+     * candidate set and the valid counts. The page maps are written
+     * one u64 per entry, whatever their in-memory width.
      */
     void saveState(recovery::StateWriter &w) const;
 
@@ -200,8 +209,14 @@ class PageMapper
      */
     void closeBlock(nand::Pbn b);
 
-    /** Record candidate @p b under valid count @p valid. */
-    void pushBucket(nand::Pbn b, uint32_t valid) const;
+    /** Add block @p b to the bucket of valid count @p valid. */
+    void setBucketBit(uint32_t valid, uint64_t b);
+
+    /** Remove block @p b from the bucket of valid count @p valid. */
+    void clearBucketBit(uint32_t valid, uint64_t b);
+
+    /** Bucket part of checkConsistency(); empty string when exact. */
+    std::string checkBuckets() const;
 
     /** Flat block containing @p ppn (shift when ppb is a power of 2). */
     nand::Pbn blockOf(nand::Ppn ppn) const
@@ -233,11 +248,13 @@ class PageMapper
     uint32_t ppbShift_ = 0;    // snapshot:skip(derived from geometry)
     uint64_t totalBlocks_ = 0; // snapshot:skip(derived from geometry)
     uint64_t totalPages_ = 0;  // snapshot:skip(derived from geometry)
-    std::vector<nand::Ppn> lpnToPpn_;
-    std::vector<Lpn> ppnToLpn_;
+    /** Unmapped entry of the 32-bit page maps. */
+    static constexpr uint32_t kUnmapped = ~0u;
+    std::vector<uint32_t> lpnToPpn_; ///< Ppn per Lpn, or kUnmapped.
+    std::vector<uint32_t> ppnToLpn_; ///< Lpn per Ppn, or kUnmapped.
     /**
      * Packed per-page validity: bit (ppn & 63) of word (ppn >> 6) is
-     * set exactly when ppnToLpn_[ppn] != kInvalidLpn. Redundant with
+     * set exactly when ppnToLpn_[ppn] != kUnmapped. Redundant with
      * the inverse map but enables the popcount-assisted batch paths:
      * collectBlock() walks a victim's live pages as one bitmap scan
      * and batch-clears the victim's words, instead of probing the
@@ -256,16 +273,19 @@ class PageMapper
     /** Membership in the victim buckets (closed, live blocks only). */
     std::vector<uint8_t> candidate_;
     /**
-     * buckets_[v] holds the candidates with v valid pages as a min-heap
-     * of block numbers. Entries are lazy: a block is (re)pushed on
-     * every valid-count change and on close, and stale entries (count
-     * moved on, or no longer a candidate) are pruned when they surface
-     * at the top during pickVictimGreedy(). Pruning does not change
-     * logical state, hence mutable. Derived: rebuilt fresh on load.
+     * Victim buckets: bucket v covers words [v * bucketStride_,
+     * (v + 1) * bucketStride_). Its first summaryWords_ words hold one
+     * bit per block word (set when that word is nonzero); the next
+     * blockWords_ words hold one bit per block, set exactly when the
+     * block is a candidate with v valid pages. Derived: rebuilt from
+     * candidate_ and blockValid_ on load.
      */
-    mutable std::vector<std::vector<nand::Pbn>> buckets_; // snapshot:skip(rebuilt from candidate set on load)
-    /** No fresh bucket entry exists below this valid count. */
-    mutable uint32_t minBucket_ = 0; // snapshot:skip(rebuilt with buckets on load)
+    std::vector<uint64_t> bucketBits_; // snapshot:skip(rebuilt from the candidate set on load)
+    /** Bit v set exactly when bucket v holds a block. */
+    std::vector<uint64_t> nonEmptyBuckets_; // snapshot:skip(rebuilt with the buckets on load)
+    uint32_t blockWords_ = 0;   // snapshot:skip(derived from geometry)
+    uint32_t summaryWords_ = 0; // snapshot:skip(derived from geometry)
+    uint32_t bucketStride_ = 0; // snapshot:skip(derived from geometry)
 };
 
 } // namespace ssdcheck::ssd

@@ -110,6 +110,11 @@ SsdConfig::validate() const
     const uint64_t physBlocks = physPagesPerVolume() / pagesPerBlock;
     if (physBlocks <= gcHighBlocks + 2)
         err << "too few blocks per volume for the GC watermarks; ";
+    // The FTL's page maps hold 32-bit entries with ~0u as "unmapped".
+    if (planesPerVolume != 0 && pagesPerBlock != 0 &&
+        volumeGeometry().totalPages() >= 0xFFFFFFFFULL)
+        err << "2^32 - 1 or more physical pages per volume overflow the "
+               "32-bit page maps; ";
     if (const std::string faultErr = faults.validate(); !faultErr.empty())
         err << faultErr << "; ";
     return err.str();

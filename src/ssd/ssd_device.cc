@@ -119,10 +119,9 @@ SsdDevice::submitDetailed(const blockdev::IoRequest &req, sim::SimTime now,
                 writePayload != nullptr ? *writePayload + p : 0;
             done = volumes_[vol]->serveWrite(start, lpn, stamp, detail);
         } else {
-            uint64_t payload = 0;
-            done = volumes_[vol]->serveRead(start, lpn, &payload, detail);
-            if (p == 0 && readPayload != nullptr)
-                *readPayload = payload;
+            // Only the first page's payload is reported.
+            done = volumes_[vol]->serveRead(
+                start, lpn, p == 0 ? readPayload : nullptr, detail);
         }
         complete = std::max(complete, done);
     }

@@ -278,12 +278,10 @@ Volume::serveRead(sim::SimTime start, Lpn lpn, uint64_t *payloadOut,
     }
     ready = std::max(busyReady, readGate_);
 
+    // The payload is loaded only for a caller that asked for it; a
+    // plain read touches the map and the block's read counter alone.
     sim::SimDuration nandLat = cfg_.nandTiming.readLatency;
-    uint64_t payload = 0;
-    if (mapper_.readPage(lpn, &payload)) {
-        if (payloadOut != nullptr)
-            *payloadOut = payload;
-    } else {
+    if (!mapper_.readPage(lpn, payloadOut)) {
         // Unmapped (never written / trimmed): controller answers from
         // metadata without touching NAND.
         nandLat = 0;

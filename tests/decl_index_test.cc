@@ -24,12 +24,21 @@ namespace {
 lint::SourceFile
 parseSource(const std::string &content, const std::string &relPath)
 {
+    // ctest runs every test in its own process, in parallel, against
+    // one shared temp dir: the running test's name keeps the files of
+    // concurrent tests apart, the counter those of one test.
     static int counter = 0;
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string owner =
+        test != nullptr
+            ? std::string(test->test_suite_name()) + "." + test->name()
+            : "no_test";
     const fs::path dir =
         fs::path(::testing::TempDir()) / "ssdcheck_decl_index";
     fs::create_directories(dir);
     const fs::path file =
-        dir / (std::to_string(counter++) + "_" +
+        dir / (owner + "_" + std::to_string(counter++) + "_" +
                fs::path(relPath).filename().string());
     std::ofstream(file) << content;
     std::string err;

@@ -122,6 +122,31 @@ TEST(SsdConfigTest, ValidateRejectsBadConfigs)
     }
 }
 
+TEST(SsdConfigTest, ValidateCapsVolumeBelow32BitPageCount)
+{
+    // One page per block on one plane: a volume's physical page count
+    // is exactly floor(user pages * 1.5).
+    SsdConfig c;
+    c.pagesPerBlock = 1;
+    c.planesPerVolume = 1;
+    c.bufferBytes = blockdev::kPageSize;
+    c.opRatio = 0.5;
+    c.userCapacityPages = 2863311529ULL;
+    EXPECT_EQ(c.volumeGeometry().totalPages(), 0xFFFFFFFDULL);
+    EXPECT_EQ(c.validate(), "");
+
+    c.userCapacityPages = 2863311530ULL; // 2^32 - 1 physical pages
+    EXPECT_EQ(c.volumeGeometry().totalPages(), 0xFFFFFFFFULL);
+    EXPECT_NE(c.validate().find("32-bit page maps"), std::string::npos)
+        << c.validate();
+
+    // The cap is per volume: two volumes just under it are fine.
+    c.userCapacityPages = 2 * 2863311529ULL;
+    c.volumeBits = {17};
+    EXPECT_EQ(c.volumeGeometry().totalPages(), 0xFFFFFFFDULL);
+    EXPECT_EQ(c.validate(), "");
+}
+
 TEST(SsdConfigTest, BufferTypeNames)
 {
     EXPECT_EQ(toString(BufferType::Back), "back");
