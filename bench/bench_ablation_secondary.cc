@@ -12,7 +12,7 @@
  */
 #include "bench_common.h"
 
-#include "core/accuracy.h"
+#include "recovery/shard.h"
 #include "workload/snia_synth.h"
 
 using namespace ssdcheck;
@@ -35,8 +35,8 @@ runVariant(ssd::SsdModel model, bool useSecondary)
         const auto trace = workload::buildSniaTrace(
             w, d.dev->capacityPages(), 0.03, 1000 + static_cast<int>(w));
         sim::SimTime end = now;
-        const auto acc = core::evaluatePredictionAccuracy(*d.dev, check,
-                                                          trace, now, &end);
+        const auto acc = recovery::evaluatePredictionAccuracy(
+            *d.dev, check, trace, now, &end);
         now = end + sim::milliseconds(100);
         hl += acc.hlAccuracy() * 100;
         nl += acc.nlAccuracy() * 100;

@@ -27,11 +27,11 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/accuracy.h"
 #include "obs/audit_log.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
 #include "obs/trace_recorder.h"
+#include "recovery/shard.h"
 #include "workload/synthetic.h"
 
 using namespace ssdcheck;
@@ -66,9 +66,9 @@ runRep(const core::FeatureSet &features, const workload::Trace &trace,
         check.attachObservability(sink);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    *acc = core::evaluatePredictionAccuracy(dev, check, trace, sim::kTimeZero, nullptr,
-                                            nullptr,
-                                            attach ? &sink : nullptr);
+    *acc = recovery::evaluatePredictionAccuracy(
+        dev, check, trace, sim::kTimeZero, nullptr, nullptr,
+        attach ? &sink : nullptr);
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
 }

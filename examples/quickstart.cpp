@@ -11,8 +11,8 @@
  */
 #include <cstdio>
 
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "workload/synthetic.h"
@@ -46,7 +46,8 @@ main()
     const auto trace = workload::buildRwMixedTrace(
         200000, dev.capacityPages(), /*seed=*/7);
     const core::AccuracyResult acc =
-        core::evaluatePredictionAccuracy(dev, check, trace, runner.now());
+        recovery::evaluatePredictionAccuracy(dev, check, trace,
+                                             runner.now());
 
     std::printf("Requests: %llu  (HL fraction %.2f%%)\n",
                 static_cast<unsigned long long>(acc.nlTotal + acc.hlTotal),

@@ -1,26 +1,20 @@
 /**
  * @file
- * Prediction-accuracy evaluation (paper §V-B, Fig. 11).
+ * Prediction-accuracy counts (paper §V-B, Fig. 11).
  *
- * Replays a trace closed-loop (QD1, like the paper's modified fio
- * replay), querying SSDcheck before every request and comparing the
- * predicted class against the measured one. NL accuracy and HL
- * accuracy are per-class recall, reported separately because they
- * matter differently (§II-C): missing an HL request loses a scheduling
- * opportunity; flagging an NL request delays latency-critical work.
+ * A QD1 closed-loop replay (recovery/shard.h; like the paper's
+ * modified fio replay) queries SSDcheck before every request and
+ * compares the predicted class against the measured one. NL accuracy
+ * and HL accuracy are per-class recall, reported separately because
+ * they matter differently (§II-C): missing an HL request loses a
+ * scheduling opportunity; flagging an NL request delays
+ * latency-critical work.
  */
 #pragma once
 
 #include <cstdint>
 
-#include "blockdev/block_device.h"
-#include "core/ssdcheck.h"
-#include "sim/sim_time.h"
-#include "workload/trace.h"
-
 namespace ssdcheck::core {
-
-class HealthSupervisor;
 
 /** Confusion counts of one accuracy evaluation. */
 struct AccuracyResult
@@ -57,26 +51,6 @@ struct AccuracyResult
                                 static_cast<double>(total);
     }
 };
-
-/**
- * Replay @p trace on @p dev at QD1 starting at @p startTime, running
- * @p check in predict-before-issue mode.
- * @param endTime receives the virtual finish time (optional).
- * @param supervisor optional health supervisor: pumped for probe I/O
- *        between requests and fed every completion.
- * @param sink optional observability targets: host.request spans and
- *        a host-latency histogram per request, plus registry timeline
- *        ticks on completion times. Attaching a sink never changes
- *        the replay's results.
- */
-AccuracyResult evaluatePredictionAccuracy(blockdev::BlockDevice &dev,
-                                          SsdCheck &check,
-                                          const workload::Trace &trace,
-                                          sim::SimTime startTime,
-                                          sim::SimTime *endTime = nullptr,
-                                          HealthSupervisor *supervisor =
-                                              nullptr,
-                                          const obs::Sink *sink = nullptr);
 
 } // namespace ssdcheck::core
 

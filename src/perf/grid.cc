@@ -11,6 +11,7 @@
 #include "core/ssdcheck.h"
 #include "obs/exporter/telemetry.h"
 #include "perf/thread_pool.h"
+#include "recovery/shard.h"
 #include "ssd/ssd_device.h"
 
 namespace ssdcheck::perf {
@@ -161,7 +162,7 @@ runGrid(const GridSpec &spec, unsigned jobs)
                 cell.model = sh.model;
                 cell.workload = w;
                 cell.seed = sh.seed;
-                cell.accuracy = core::evaluatePredictionAccuracy(
+                cell.accuracy = recovery::evaluatePredictionAccuracy(
                     *dev, check, trace, now, &end);
                 cell.requests = trace.size();
                 cell.simEnd = end;

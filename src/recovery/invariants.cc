@@ -48,7 +48,7 @@ referenceVictim(const ssd::PageMapper &m)
 } // namespace
 
 std::vector<std::string>
-checkInvariants(const CheckpointableRun &run)
+checkInvariants(const Shard &run)
 {
     std::vector<std::string> violations;
     const ssd::SsdDevice &dev = run.device();

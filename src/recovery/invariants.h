@@ -1,9 +1,10 @@
 /**
  * @file
- * Cross-layer invariant registry for the chaos soak harness.
+ * Cross-layer invariant registry of a Shard (recovery/shard.h).
  *
- * After every kill-and-resume cycle (and at the end of a run) the
- * soak tool asserts that the restored simulation is not just
+ * After every kill-and-resume cycle, at the end of a run and after
+ * every chaos shard, the soak tool, `ssdcheck run --check-invariants`
+ * and the chaos campaign assert that the simulation is not just
  * CRC-intact but *semantically* coherent across layers: FTL maps
  * agree with NAND, victim selection matches a from-scratch scan,
  * buffers respect capacity, and every layer's counters add up to the
@@ -16,14 +17,14 @@
 #include <string>
 #include <vector>
 
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 
 namespace ssdcheck::recovery {
 
 /**
- * Check every cross-layer invariant of @p run at a request barrier.
+ * Check every cross-layer invariant of @p shard at a request barrier.
  * @return one description per violated invariant (empty = coherent).
  */
-std::vector<std::string> checkInvariants(const CheckpointableRun &run);
+std::vector<std::string> checkInvariants(const Shard &shard);
 
 } // namespace ssdcheck::recovery

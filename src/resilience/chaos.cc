@@ -1,6 +1,5 @@
 #include "resilience/chaos.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -8,12 +7,11 @@
 #include <mutex>
 #include <sstream>
 
-#include "core/diagnosis.h"
 #include "obs/exporter/telemetry.h"
 #include "perf/thread_pool.h"
+#include "recovery/invariants.h"
 #include "recovery/state_io.h"
 #include "ssd/presets.h"
-#include "workload/snia_synth.h"
 
 namespace ssdcheck::resilience {
 
@@ -182,6 +180,13 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
             std::string tok;
             return bool(line >> tok) && parseU64(tok, dst);
         };
+        auto u32 = [&](uint32_t *dst) {
+            uint64_t v = 0;
+            if (!u64(&v) || v > UINT32_MAX)
+                return false;
+            *dst = static_cast<uint32_t>(v);
+            return true;
+        };
         auto f64 = [&](double *dst) {
             std::string tok;
             return bool(line >> tok) && parseF64(tok, dst);
@@ -252,9 +257,7 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "unc-hard-fraction") {
             good = f64(&sc.faults.readUncHardFraction);
         } else if (key == "read-retry-max") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.faults.readRetryMax = static_cast<uint32_t>(v);
+            good = u32(&sc.faults.readRetryMax);
         } else if (key == "program-fail-probability") {
             good = f64(&sc.faults.programFailProbability);
         } else if (key == "erase-fail-probability") {
@@ -303,21 +306,15 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "hedge-budget") {
             good = f64(&sc.policy.hedgeBudgetFraction);
         } else if (key == "breaker-window") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerWindow = static_cast<uint32_t>(v);
+            good = u32(&sc.policy.breakerWindow);
         } else if (key == "breaker-threshold") {
             good = f64(&sc.policy.breakerErrorThreshold);
         } else if (key == "breaker-min-samples") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerMinSamples = static_cast<uint32_t>(v);
+            good = u32(&sc.policy.breakerMinSamples);
         } else if (key == "breaker-cooldown-ms") {
             good = durMs(&sc.policy.breakerCooldown);
         } else if (key == "breaker-halfopen") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerHalfOpenSuccesses = static_cast<uint32_t>(v);
+            good = u32(&sc.policy.breakerHalfOpenSuccesses);
         } else if (key == "max-backlog-ms") {
             good = durMs(&sc.policy.maxBacklog);
         } else if (key == "slo-latency-ms") {
@@ -325,13 +322,9 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "slo-error-budget") {
             good = f64(&sc.policy.sloErrorBudget);
         } else if (key == "slo-window") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.sloWindow = static_cast<uint32_t>(v);
+            good = u32(&sc.policy.sloWindow);
         } else if (key == "ladder-eval-every") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.ladderEvalEvery = static_cast<uint32_t>(v);
+            good = u32(&sc.policy.ladderEvalEvery);
         } else if (key == "fail-fast-cooldown-ms") {
             good = durMs(&sc.policy.failFastCooldown);
 
@@ -372,323 +365,87 @@ std::unique_ptr<ChaosShard>
 ChaosShard::create(const ChaosScenario &scenario, uint64_t seed,
                    bool forResume, std::string *err)
 {
-    auto fail = [&](const std::string &why) {
+    recovery::ShardSpec spec;
+    if (!ssd::presetByName(scenario.device, &spec.device)) {
         if (err != nullptr)
-            *err = why;
+            *err = "unknown device '" + scenario.device + "'";
         return nullptr;
-    };
-
-    ssd::SsdConfig cfg;
-    if (scenario.device == "nvm") {
-        cfg = ssd::makeNvmBackedSsd();
-    } else if (scenario.device.size() == 1 && scenario.device[0] >= 'A' &&
-               scenario.device[0] <= 'G') {
-        cfg = ssd::makePreset(
-            static_cast<ssd::SsdModel>(scenario.device[0] - 'A'));
-    } else {
-        return fail("unknown device '" + scenario.device + "'");
     }
-    cfg.faults = scenario.faults;
-    cfg.seed = seed;
+    spec.device.faults = scenario.faults;
+    spec.device.seed = seed;
+    spec.workload = scenario.workload;
+    spec.scale = scenario.scale;
+    spec.policy = scenario.policy;
+    // The model rides along only to feed the supervisor; without it
+    // the hedge hint is the last ok latency.
+    spec.model = scenario.supervisor;
+    spec.supervisor = scenario.supervisor;
+    spec.pacing = scenario.pacing;
+    spec.arrivalPeriod = scenario.arrivalPeriod;
+    spec.identity = scenario.canonical() + ";seed=" + std::to_string(seed);
 
-    bool workloadKnown = false;
-    workload::SniaWorkload w = workload::SniaWorkload::RwMixed;
-    for (const auto candidate : workload::allSniaWorkloads()) {
-        if (toString(candidate) == scenario.workload) {
-            w = candidate;
-            workloadKnown = true;
-            break;
-        }
-    }
-    if (!workloadKnown)
-        return fail("unknown workload '" + scenario.workload + "'");
-
-    std::unique_ptr<ChaosShard> shard(new ChaosShard());
-    shard->scenario_ = scenario;
-    shard->seed_ = seed;
-    shard->digest_ = kChaosDigestInit;
-    shard->dev_ = std::make_unique<ssd::SsdDevice>(cfg);
-    shard->rdev_ =
-        std::make_unique<blockdev::ResilientDevice>(*shard->dev_);
-    shard->pdev_ = std::make_unique<PolicyDevice>(*shard->rdev_,
-                                                  scenario.policy);
-
-    if (scenario.supervisor) {
-        if (forResume) {
-            shard->check_ =
-                std::make_unique<core::SsdCheck>(core::FeatureSet{});
-        } else {
-            // Same clean-twin diagnosis as the accuracy run: features
-            // come from a faultless replica so the fault budget lands
-            // entirely on the measured shard.
-            ssd::SsdConfig cleanCfg = cfg;
-            cleanCfg.faults = ssd::FaultProfile{};
-            ssd::SsdDevice cleanDev(cleanCfg);
-            core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-            const core::FeatureSet fs = runner.extractFeatures();
-            if (!fs.bufferModelUsable())
-                return fail("no usable buffer model for device '" +
-                            scenario.device + "'");
-            shard->check_ = std::make_unique<core::SsdCheck>(fs);
-            shard->t_ = runner.now();
-        }
-        shard->sup_ = std::make_unique<core::HealthSupervisor>(
-            *shard->check_, *shard->pdev_);
-    }
-
-    if (!forResume)
-        shard->dev_->precondition();
-    shard->trace_ = workload::buildSniaTrace(
-        w, shard->dev_->capacityPages(), scenario.scale);
-    shard->t0_ = shard->t_;
-    return shard;
+    std::unique_ptr<ChaosShard> cs(new ChaosShard());
+    cs->shard_ = recovery::Shard::create(spec, forResume, err);
+    if (cs->shard_ == nullptr)
+        return nullptr;
+    cs->digest_ = kChaosDigestInit;
+    return cs;
 }
 
 void
 ChaosShard::step()
 {
-    const blockdev::IoRequest &req = trace_.records()[cursor_].req;
-    const sim::SimTime arrival =
-        t0_ + static_cast<sim::SimDuration>(cursor_) * scenario_.arrivalPeriod;
-    // Open pacing: t_ is the host submit clock — it follows arrivals
-    // even while the device's completion horizon runs ahead (that gap
-    // is what admission control measures). Closed pacing folds the
-    // previous completion into t_ below, so max() waits for it here.
-    t_ = std::max(t_, arrival);
-    if (sup_)
-        t_ = sup_->pump(t_);
-
-    core::Prediction pred{};
-    if (check_) {
-        pred = check_->predict(req, t_);
-        check_->onSubmit(req, t_);
-    }
-    if (sup_)
-        pdev_->observeHealth(sup_->state());
-    // Without a model the last completed latency is the hedge hint: a
-    // crude predictor, but deterministic and monotone in slowness.
-    const sim::SimDuration hint = check_ ? pred.eet : lastLatency_;
-    const blockdev::IoResult res = pdev_->submitHinted(req, t_, hint);
-    if (check_) {
-        const bool actualHl = check_->onComplete(
-            req, pred, t_, res.completeTime, res.status, res.attempts);
-        if (sup_)
-            sup_->onCompletion(req, actualHl, res);
-    }
-
-    digest_ = chaosDigestFold(digest_, cursor_);
+    const uint64_t index = shard_->cursor();
+    const blockdev::IoResult res = shard_->step();
+    digest_ = chaosDigestFold(digest_, index);
     digest_ = chaosDigestFold(digest_, static_cast<uint64_t>(res.status));
     digest_ = chaosDigestFold(digest_,
                               static_cast<uint64_t>(res.completeTime.ns()));
     digest_ = chaosDigestFold(digest_, res.attempts);
     if (res.ok()) {
         ++completedOk_;
-        lastLatency_ = res.completeTime - t_;
-        lat_.add(lastLatency_);
+        lat_.add(shard_->lastOkLatency());
     }
-    if (scenario_.pacing == Pacing::Closed)
-        t_ = res.completeTime;
-    ++cursor_;
-}
-
-uint64_t
-ChaosShard::configHash() const
-{
-    return recovery::fnv1a(scenario_.canonical() +
-                           ";seed=" + std::to_string(seed_));
 }
 
 recovery::Snapshot
 ChaosShard::checkpoint() const
 {
-    using recovery::SectionId;
-    using recovery::StateWriter;
-    recovery::Snapshot snap;
-    snap.begin(configHash(), cursor_, t_.ns());
-    {
-        StateWriter w;
-        dev_->saveState(w);
-        snap.addSection(SectionId::Device, w.take());
-    }
-    {
-        StateWriter w;
-        rdev_->saveState(w);
-        snap.addSection(SectionId::Resilient, w.take());
-    }
-    {
-        StateWriter w;
-        pdev_->saveState(w);
-        snap.addSection(SectionId::Resilience, w.take());
-    }
-    if (check_) {
-        StateWriter w;
-        check_->saveState(w);
-        snap.addSection(SectionId::Model, w.take());
-    }
-    if (sup_) {
-        StateWriter w;
-        sup_->saveState(w);
-        snap.addSection(SectionId::Supervisor, w.take());
-    }
-    {
-        StateWriter w;
-        w.u64(digest_);
-        w.u64(completedOk_);
-        w.i64(lastLatency_);
-        w.i64(t0_.ns());
-        w.u64(lat_.count());
-        for (const sim::SimDuration s : lat_.sorted())
-            w.i64(s);
-        snap.addSection(SectionId::Chaos, w.take());
-    }
+    recovery::Snapshot snap = shard_->checkpoint();
+    recovery::StateWriter w;
+    w.u64(digest_);
+    w.u64(completedOk_);
+    w.i64(shard_->lastOkLatency());
+    w.i64(shard_->origin().ns());
+    w.u64(lat_.count());
+    for (const sim::SimDuration s : lat_.sorted())
+        w.i64(s);
+    snap.addSection(recovery::SectionId::Chaos, w.take());
     return snap;
 }
 
 recovery::LoadError
 ChaosShard::restore(const recovery::Snapshot &snap, std::string *detail)
 {
-    using recovery::LoadError;
-    using recovery::SectionId;
-    using recovery::StateReader;
-    auto explain = [&](const std::string &why) {
-        if (detail != nullptr)
-            *detail = why;
-    };
-    if (snap.configHash() != configHash()) {
-        explain("snapshot was taken under a different chaos scenario "
-                "or seed (this shard: " +
-                scenario_.canonical() + ";seed=" + std::to_string(seed_) +
-                ")");
-        return LoadError::ConfigMismatch;
-    }
-    if (snap.requestIndex() > trace_.size()) {
-        explain("snapshot resume point is beyond the end of the trace");
-        return LoadError::Malformed;
-    }
-
-    auto load = [&](SectionId id, const char *name,
-                    auto &&fn) -> LoadError {
-        const std::vector<uint8_t> *payload = snap.section(id);
-        if (payload == nullptr) {
-            explain(std::string("required section '") + name +
-                    "' is missing");
-            return LoadError::MissingSection;
-        }
-        StateReader r(*payload);
-        fn(r);
-        if (!r.ok()) {
-            explain(std::string("section '") + name + "': " + r.error());
-            return LoadError::Malformed;
-        }
-        if (!r.atEnd()) {
-            explain(std::string("section '") + name +
-                    "' has trailing bytes");
-            return LoadError::Malformed;
-        }
-        return LoadError::Ok;
-    };
-
-    LoadError e;
-    e = load(SectionId::Device, "device",
-             [&](StateReader &r) { dev_->loadState(r); });
-    if (e != LoadError::Ok)
+    const recovery::LoadError e = shard_->restore(snap, detail);
+    if (e != recovery::LoadError::Ok)
         return e;
-    e = load(SectionId::Resilient, "resilient",
-             [&](StateReader &r) { rdev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    e = load(SectionId::Resilience, "resilience",
-             [&](StateReader &r) { pdev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    if (check_) {
-        e = load(SectionId::Model, "model",
-                 [&](StateReader &r) { check_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    }
-    if (sup_) {
-        e = load(SectionId::Supervisor, "supervisor",
-                 [&](StateReader &r) { sup_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    }
-    e = load(SectionId::Chaos, "chaos", [&](StateReader &r) {
-        digest_ = r.u64();
-        completedOk_ = r.u64();
-        lastLatency_ = r.i64();
-        t0_ = sim::SimTime{r.i64()};
-        const uint64_t n = r.checkCount(r.u64(), sizeof(int64_t));
-        lat_.clear();
-        for (uint64_t i = 0; i < n && r.ok(); ++i)
-            lat_.add(r.i64());
-        if (r.ok() && lat_.count() != completedOk_)
-            r.fail("latency sample count disagrees with completions");
-    });
-    if (e != LoadError::Ok)
-        return e;
-
-    cursor_ = snap.requestIndex();
-    t_ = sim::SimTime{snap.simTimeNs()};
-    return LoadError::Ok;
-}
-
-std::vector<std::string>
-ChaosShard::checkInvariants() const
-{
-    std::vector<std::string> violations;
-    const PolicyCounters &pc = pdev_->counters();
-    const blockdev::ResilienceCounters &rc = rdev_->counters();
-    const uint64_t probes =
-        sup_ ? sup_->counters().probesIssued : 0;
-
-    if (pdev_->config().enabled) {
-        if (pc.submissions != cursor_ + probes)
-            violations.push_back(
-                fmt("policy saw %" PRIu64 " submissions but cursor "
-                    "%" PRIu64 " + %" PRIu64 " probes were issued",
-                    pc.submissions, cursor_, probes));
-        if (pc.forwarded + pc.shedTotal() != pc.submissions)
-            violations.push_back(
-                fmt("policy forwarded %" PRIu64 " + shed %" PRIu64
-                    " does not sum to %" PRIu64 " submissions",
-                    pc.forwarded, pc.shedTotal(), pc.submissions));
-        if (rc.submissions != pc.forwarded + pc.hedgesIssued)
-            violations.push_back(
-                fmt("resilient path saw %" PRIu64 " submissions but the "
-                    "policy forwarded %" PRIu64 " + %" PRIu64 " hedges",
-                    rc.submissions, pc.forwarded, pc.hedgesIssued));
-        if (pc.hedgeCancelled != pc.hedgesIssued ||
-            pc.hedgeWins > pc.hedgesIssued)
-            violations.push_back("hedge accounting does not pair up "
-                                 "with issued hedges");
-        if (pc.breakerCloses > pc.breakerOpens + pc.breakerReopens)
-            violations.push_back(
-                "breaker closed more often than it opened");
-        if (pdev_->config().deadlineBudget > 0 &&
-            pdev_->maxExchange() > pdev_->config().deadlineBudget)
-            violations.push_back(
-                fmt("observed a %" PRId64 "ns exchange over the %" PRId64
-                    "ns deadline budget",
-                    pdev_->maxExchange(),
-                    pdev_->config().deadlineBudget));
-    } else if (rc.submissions != cursor_ + probes) {
-        violations.push_back(
-            fmt("resilient path saw %" PRIu64 " submissions but cursor "
-                "%" PRIu64 " + %" PRIu64 " probes were issued",
-                rc.submissions, cursor_, probes));
-    }
-    if (dev_->requestsServed() != rc.attemptsIssued)
-        violations.push_back(
-            fmt("device served %" PRIu64 " requests but the resilient "
-                "path issued %" PRIu64 " attempts",
-                dev_->requestsServed(), rc.attemptsIssued));
-    if (lat_.count() != completedOk_)
-        violations.push_back(
-            fmt("recorded %zu ok latencies for %" PRIu64
-                " ok completions",
-                lat_.count(), completedOk_));
-    return violations;
+    return recovery::loadSection(
+        snap, recovery::SectionId::Chaos, "chaos",
+        [&](recovery::StateReader &r) {
+            digest_ = r.u64();
+            completedOk_ = r.u64();
+            const sim::SimDuration lastOk = r.i64();
+            const sim::SimTime origin{r.i64()};
+            shard_->restorePacing(origin, lastOk);
+            const uint64_t n = r.checkCount(r.u64(), sizeof(int64_t));
+            lat_.clear();
+            for (uint64_t i = 0; i < n && r.ok(); ++i)
+                lat_.add(r.i64());
+            if (r.ok() && lat_.count() != completedOk_)
+                r.fail("latency sample count disagrees with completions");
+        },
+        detail);
 }
 
 ChaosCampaignResult
@@ -741,7 +498,10 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
         while (!shard->done())
             shard->step();
 
-        const PolicyCounters &pc = shard->policy().counters();
+        // A disabled policy is no layer at all: its counters read zero.
+        const PolicyDevice *pol = shard->shard().policyPtr();
+        const PolicyCounters pc =
+            pol != nullptr ? pol->counters() : PolicyCounters{};
         r.digest = shard->digest();
         r.completedOk = shard->completedOk();
         r.shed = pc.shedTotal();
@@ -751,8 +511,8 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
         r.breakerOpens = pc.breakerOpens;
         r.breakerCloses = pc.breakerCloses;
         r.p999 = shard->latencies().percentile(99.9);
-        r.maxExchange = shard->policy().maxExchange();
-        r.finalTime = shard->now();
+        r.maxExchange = pol != nullptr ? pol->maxExchange() : 0;
+        r.finalTime = shard->shard().now();
 
         // -- SLO assertions -------------------------------------------
         if (r.completedOk < scenario.assertMinCompleted)
@@ -778,8 +538,13 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
             r.failures.push_back(
                 "breaker never recovered through the HalfOpen probe "
                 "path");
-        for (std::string &v : shard->checkInvariants())
+        for (std::string &v : recovery::checkInvariants(shard->shard()))
             r.failures.push_back("invariant: " + std::move(v));
+        if (shard->latencies().count() != r.completedOk)
+            r.failures.push_back(
+                fmt("invariant: recorded %zu ok latencies for %" PRIu64
+                    " ok completions",
+                    shard->latencies().count(), r.completedOk));
 
         if (prog != nullptr) {
             const std::lock_guard<std::mutex> lk(prog->mu);
@@ -791,10 +556,10 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
             st.cursor = prog->shardsDone;
             st.totalRequests = n;
             st.simTimeNs = r.finalTime.ns();
-            st.breakerState =
-                static_cast<uint8_t>(shard->policy().breakerState());
-            st.ladderLevel =
-                static_cast<uint8_t>(shard->policy().ladderLevel());
+            if (pol != nullptr) {
+                st.breakerState = static_cast<uint8_t>(pol->breakerState());
+                st.ladderLevel = static_cast<uint8_t>(pol->ladderLevel());
+            }
             st.shedTotal = prog->shed;
             st.healthy = r.failures.empty();
             telemetry->publish(prog->reg, st);

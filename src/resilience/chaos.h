@@ -13,9 +13,9 @@
  * in parallel on perf::ThreadPool, bit-identical at any --jobs) and
  * folds each shard's per-request outcome stream into a digest; two
  * campaigns agree exactly when every request in every shard completed
- * with the same status at the same sim time. ChaosShard also speaks
- * the PR-6 snapshot protocol, so a campaign can be killed mid-shard
- * and resumed bit-exactly.
+ * with the same status at the same sim time. A ChaosShard is a
+ * recovery::Shard, so it speaks the snapshot protocol: a campaign
+ * shard can be checkpointed mid-run and resumed bit-exactly.
  */
 #pragma once
 
@@ -24,14 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "blockdev/resilient_device.h"
-#include "core/health_supervisor.h"
-#include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "recovery/snapshot.h"
 #include "resilience/policy.h"
-#include "ssd/ssd_device.h"
+#include "sim/sim_time.h"
+#include "ssd/fault_injector.h"
 #include "stats/latency_recorder.h"
-#include "workload/trace.h"
 
 namespace ssdcheck::obs {
 class TelemetryHub;
@@ -39,12 +37,7 @@ class TelemetryHub;
 
 namespace ssdcheck::resilience {
 
-/** How the host clock advances between requests. */
-enum class Pacing : uint8_t
-{
-    Open = 0,   ///< Fixed arrival period; queues can build (overload).
-    Closed = 1, ///< Next request waits for the previous completion.
-};
+using recovery::Pacing;
 
 /** One parsed chaos scenario: faults + workload + policy + SLOs. */
 struct ChaosScenario
@@ -81,7 +74,11 @@ struct ChaosScenario
                       std::string *err);
 };
 
-/** One seed's replay of a scenario (checkpointable, deterministic). */
+/**
+ * One seed's replay of a scenario: a recovery::Shard (checkpointable,
+ * deterministic) plus the outcome digest and ok-latency tally the
+ * campaign asserts on.
+ */
 class ChaosShard
 {
   public:
@@ -95,29 +92,17 @@ class ChaosShard
     create(const ChaosScenario &scenario, uint64_t seed, bool forResume,
            std::string *err);
 
-    bool done() const { return cursor_ >= trace_.size(); }
+    bool done() const { return shard_->done(); }
     void step();
-    uint64_t cursor() const { return cursor_; }
-    sim::SimTime now() const { return t_; }
-    uint64_t seed() const { return seed_; }
 
     /** Running outcome digest (status/time/attempts per request). */
     uint64_t digest() const { return digest_; }
     uint64_t completedOk() const { return completedOk_; }
     const stats::LatencyRecorder &latencies() const { return lat_; }
-    const PolicyDevice &policy() const { return *pdev_; }
-    const blockdev::ResilientDevice &resilient() const { return *rdev_; }
-    const ssd::SsdDevice &device() const { return *dev_; }
-    const workload::Trace &trace() const { return trace_; }
-    const core::HealthSupervisor *supervisorPtr() const
-    {
-        return sup_.get();
-    }
+    const recovery::Shard &shard() const { return *shard_; }
 
-    /** Snapshot identity hash for (scenario, seed). */
-    uint64_t configHash() const;
-
-    /** Serialize the complete shard state at the request boundary. */
+    /** Serialize the complete shard state at the request boundary:
+     *  the Shard's sections plus the Chaos section. */
     recovery::Snapshot checkpoint() const;
 
     /** Restore a snapshot taken by checkpoint() (same scenario+seed,
@@ -125,30 +110,12 @@ class ChaosShard
     [[nodiscard]] recovery::LoadError
     restore(const recovery::Snapshot &snap, std::string *detail);
 
-    /**
-     * Cross-layer counter conservation for the shard stack (the
-     * chaos-side analogue of recovery::checkInvariants). Empty when
-     * every identity holds.
-     */
-    std::vector<std::string> checkInvariants() const;
-
   private:
     ChaosShard() = default;
 
-    ChaosScenario scenario_;
-    uint64_t seed_ = 0;
-    std::unique_ptr<ssd::SsdDevice> dev_;
-    std::unique_ptr<blockdev::ResilientDevice> rdev_;
-    std::unique_ptr<PolicyDevice> pdev_;
-    std::unique_ptr<core::SsdCheck> check_;
-    std::unique_ptr<core::HealthSupervisor> sup_;
-    workload::Trace trace_;
-    uint64_t cursor_ = 0;
-    sim::SimTime t_;
-    sim::SimTime t0_; ///< Arrival-clock origin (post-diagnosis).
+    std::unique_ptr<recovery::Shard> shard_;
     uint64_t digest_ = 0;
     uint64_t completedOk_ = 0;
-    sim::SimDuration lastLatency_ = 0; ///< Hedge hint without a model.
     stats::LatencyRecorder lat_;
 };
 

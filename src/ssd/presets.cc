@@ -219,4 +219,17 @@ makeNvmBackedSsd(uint64_t seedSalt)
     return c;
 }
 
+bool
+presetByName(const std::string &name, SsdConfig *out)
+{
+    if (name == "nvm") {
+        *out = makeNvmBackedSsd();
+        return true;
+    }
+    if (name.size() != 1 || name[0] < 'A' || name[0] > 'G')
+        return false;
+    *out = makePreset(static_cast<SsdModel>(name[0] - 'A'));
+    return true;
+}
+
 } // namespace ssdcheck::ssd

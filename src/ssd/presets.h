@@ -71,5 +71,11 @@ SsdConfig makePrototype(PrototypeVariant v, uint64_t seedSalt = 0);
  */
 SsdConfig makeNvmBackedSsd(uint64_t seedSalt = 0);
 
+/**
+ * Look up a device by its CLI name: "A".."G" (Table I) or "nvm".
+ * @return true and fill @p out when the name is known.
+ */
+bool presetByName(const std::string &name, SsdConfig *out);
+
 } // namespace ssdcheck::ssd
 

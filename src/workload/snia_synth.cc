@@ -42,6 +42,18 @@ toString(SniaWorkload w)
     return "?";
 }
 
+bool
+sniaWorkloadByName(const std::string &name, SniaWorkload *out)
+{
+    for (const SniaWorkload w : allSniaWorkloads()) {
+        if (toString(w) == name) {
+            *out = w;
+            return true;
+        }
+    }
+    return false;
+}
+
 SniaPaperStats
 paperStats(SniaWorkload w)
 {

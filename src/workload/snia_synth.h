@@ -41,6 +41,12 @@ std::vector<SniaWorkload> readIntensiveWorkloads();
 /** Abbreviated name used in the paper ("TPCE", "Exch", ...). */
 std::string toString(SniaWorkload w);
 
+/**
+ * Look up a workload by its toString() name ("TPCE", "RW Mixed", ...).
+ * @return true and fill @p out when the name is known.
+ */
+bool sniaWorkloadByName(const std::string &name, SniaWorkload *out);
+
 /** Paper-reported characteristics (for Table II comparison). */
 struct SniaPaperStats
 {

@@ -1,14 +1,16 @@
 /** @file Tests for the model-component ablation switches. */
 #include <gtest/gtest.h>
 
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "workload/synthetic.h"
 
 namespace ssdcheck::core {
 namespace {
+
+using recovery::evaluatePredictionAccuracy;
 
 FeatureSet
 twoVolumeFeatures()

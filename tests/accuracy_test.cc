@@ -6,8 +6,8 @@
 
 #include <ostream>
 
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "workload/snia_synth.h"
@@ -15,6 +15,8 @@
 
 namespace ssdcheck::core {
 namespace {
+
+using recovery::evaluatePredictionAccuracy;
 
 using ssd::makePreset;
 using ssd::SsdDevice;

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 
+#include "recovery/invariants.h"
 #include "resilience/chaos.h"
 
 namespace ssdcheck::resilience {
@@ -124,6 +128,16 @@ TEST(ChaosScenarioTest, ParseRejectsMalformedInput)
     EXPECT_FALSE(ChaosScenario::parse("seeds 1\nslo-error-budget 0\n",
                                       &sc, &err));
     EXPECT_NE(err.find("policy"), std::string::npos);
+
+    // 32-bit keys refuse values that would wrap (2^32 + 64, 2^32 + 3).
+    EXPECT_FALSE(ChaosScenario::parse(
+        "seeds 1\nbreaker-window 4294967360\n", &sc, &err));
+    EXPECT_NE(err.find("bad value for 'breaker-window'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(ChaosScenario::parse(
+        "seeds 1\nread-retry-max 4294967299\n", &sc, &err));
+    EXPECT_NE(err.find("bad value for 'read-retry-max'"), std::string::npos)
+        << err;
 }
 
 TEST(ChaosScenarioTest, CanonicalReflectsCorrelatedFaultSchedule)
@@ -167,6 +181,32 @@ TEST(ChaosCampaignTest, DigestIdenticalAcrossJobsAndRepeats)
     EXPECT_NE(serial.shards[0].digest, serial.shards[1].digest);
 }
 
+TEST(ChaosCampaignTest, ExampleScenarioDigestsArePinned)
+{
+    // The committed example campaigns at --jobs 4: any change to the
+    // replay loop, the stack or the fault schedule moves a digest.
+    const std::pair<const char *, uint64_t> pins[] = {
+        {"stall-storm", 0x3662fdd727225171ULL},
+        {"burst-unc", 0x35215d1edb9dd24eULL},
+        {"drift-overload", 0xf42cbb9ed713cb01ULL},
+    };
+    for (const auto &[name, digest] : pins) {
+        SCOPED_TRACE(name);
+        const std::string path =
+            std::string(SSDCHECK_CHAOS_DIR) + "/" + name + ".chaos";
+        std::ifstream is(path);
+        ASSERT_TRUE(is) << path;
+        std::stringstream text;
+        text << is.rdbuf();
+        ChaosScenario sc;
+        std::string err;
+        ASSERT_TRUE(ChaosScenario::parse(text.str(), &sc, &err)) << err;
+        const ChaosCampaignResult res = runChaosCampaign(sc, 4);
+        EXPECT_TRUE(res.pass);
+        EXPECT_EQ(res.campaignDigest, digest);
+    }
+}
+
 TEST(ChaosCampaignTest, ViolatedAssertionFailsTheCampaign)
 {
     ChaosScenario sc = smallScenario();
@@ -198,7 +238,8 @@ TEST(ChaosShardTest, InvariantsHoldAfterFullRun)
     ASSERT_NE(shard, nullptr) << err;
     while (!shard->done())
         shard->step();
-    const std::vector<std::string> violations = shard->checkInvariants();
+    const std::vector<std::string> violations =
+        recovery::checkInvariants(shard->shard());
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations[0]);
     EXPECT_GT(shard->completedOk(), 0u);
@@ -230,8 +271,8 @@ TEST(ChaosShardTest, CheckpointRestoreMidShardIsBitIdentical)
 
     // Run the first half, snapshot, and resume in a fresh shard that
     // skipped all one-time construction work.
-    const uint64_t half = golden->trace().size() / 2;
-    while (first->cursor() < half)
+    const uint64_t half = golden->shard().trace().size() / 2;
+    while (first->shard().cursor() < half)
         first->step();
     const recovery::Snapshot snap = first->checkpoint();
 
@@ -241,8 +282,8 @@ TEST(ChaosShardTest, CheckpointRestoreMidShardIsBitIdentical)
     std::string detail;
     ASSERT_EQ(resumed->restore(snap, &detail), recovery::LoadError::Ok)
         << detail;
-    EXPECT_EQ(resumed->cursor(), half);
-    EXPECT_EQ(resumed->now(), first->now());
+    EXPECT_EQ(resumed->shard().cursor(), half);
+    EXPECT_EQ(resumed->shard().now(), first->shard().now());
 
     while (!golden->done())
         golden->step();
@@ -251,11 +292,11 @@ TEST(ChaosShardTest, CheckpointRestoreMidShardIsBitIdentical)
 
     EXPECT_EQ(resumed->digest(), golden->digest());
     EXPECT_EQ(resumed->completedOk(), golden->completedOk());
-    EXPECT_EQ(resumed->now(), golden->now());
+    EXPECT_EQ(resumed->shard().now(), golden->shard().now());
     // The restored policy stack carries breaker/hedge/admission state
     // bit-exactly: its counters must finish identical to the golden's.
-    const PolicyCounters &gc = golden->policy().counters();
-    const PolicyCounters &rc = resumed->policy().counters();
+    const PolicyCounters &gc = golden->shard().policyPtr()->counters();
+    const PolicyCounters &rc = resumed->shard().policyPtr()->counters();
     EXPECT_EQ(rc.submissions, gc.submissions);
     EXPECT_EQ(rc.forwarded, gc.forwarded);
     EXPECT_EQ(rc.shedOverload, gc.shedOverload);
@@ -264,7 +305,8 @@ TEST(ChaosShardTest, CheckpointRestoreMidShardIsBitIdentical)
     EXPECT_EQ(rc.breakerOpens, gc.breakerOpens);
     EXPECT_EQ(rc.breakerCloses, gc.breakerCloses);
     EXPECT_EQ(rc.deadlineExpired, gc.deadlineExpired);
-    const std::vector<std::string> violations = resumed->checkInvariants();
+    const std::vector<std::string> violations =
+        recovery::checkInvariants(resumed->shard());
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations[0]);
 }

@@ -89,6 +89,45 @@ TEST(CliExitCodes, BadArgumentsExitBadArgs)
     EXPECT_EQ(runCli("chaos --scenario /nonexistent.chaos", &out),
               cli::kBadArgs)
         << out;
+    // Numeric flags that are not numbers of the flag's type: junk,
+    // trailing junk, a sign on an unsigned count, out of range.
+    for (const char *bad :
+         {"run --scale abc", "run --scale 0.002 --checkpoint-every 10x",
+          "run --scale 0.002 --publish-every -3",
+          "run --scale 0.002 --listen 70000", "run --scale 1e999",
+          "bench --jobs -1", "synth --workload Web --out x --span 5k"}) {
+        EXPECT_EQ(runCli(bad, &out), cli::kBadArgs) << bad << "\n" << out;
+        EXPECT_NE(out.find("bad value for --"), std::string::npos) << out;
+    }
+    const std::string path =
+        testing::TempDir() + "/cli_exit_codes_jobs.chaos";
+    {
+        std::ofstream f(path);
+        f << "scale 0.002\nseeds 1\n";
+    }
+    EXPECT_EQ(runCli("chaos --scenario " + path + " --jobs x", &out),
+              cli::kBadArgs)
+        << out;
+    std::remove(path.c_str());
+    // A resumed trace or audit would be partial.
+    EXPECT_EQ(runCli("run --scale 0.002 --resume /nonexistent.ckpt "
+                     "--trace-out /nonexistent/trace.json",
+                     &out),
+              cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("--resume"), std::string::npos) << out;
+}
+
+TEST(CliExitCodes, RecoveredAccuracyFloorMissExitsRecoveryFloor)
+{
+    // No rolling HL accuracy reaches 101%.
+    std::string out;
+    EXPECT_EQ(runCli("run --supervisor --scale 0.002 "
+                     "--min-recovered-accuracy 1.01",
+                     &out),
+              cli::kRecoveryFloor)
+        << out;
+    EXPECT_NE(out.find("FAIL"), std::string::npos) << out;
 }
 
 TEST(CliExitCodes, MalformedChaosScenarioExitsBadArgs)

@@ -6,9 +6,9 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
 #include "nvm/nvm_device.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "usecases/hybrid.h"
@@ -207,7 +207,8 @@ TEST_P(PipelineTest, DiagnoseModelPredict)
     const auto trace =
         workload::buildRwMixedTrace(30000, dev.capacityPages(), 11);
     const auto acc =
-        core::evaluatePredictionAccuracy(dev, check, trace, runner.now());
+        recovery::evaluatePredictionAccuracy(dev, check, trace,
+                                             runner.now());
     EXPECT_GT(acc.nlAccuracy(), 0.9);
     EXPECT_TRUE(check.enabled()); // never auto-disabled on its own fleet
 }

@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "blockdev/resilient_device.h"
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "usecases/runner.h"
@@ -219,11 +219,11 @@ TEST(FaultE2eTest, FirmwareDriftDegradesAccuracyAndCalibratorResponds)
 
     sim::SimTime t = runner.now();
     const auto accPre =
-        core::evaluatePredictionAccuracy(dev, check, tracePre, t, &t);
+        recovery::evaluatePredictionAccuracy(dev, check, tracePre, t, &t);
     ASSERT_EQ(dev.faultCounters().driftEvents, 0u)
         << "drift must not fire before phase one ends";
     const auto accPost =
-        core::evaluatePredictionAccuracy(dev, check, tracePost, t, &t);
+        recovery::evaluatePredictionAccuracy(dev, check, tracePost, t, &t);
     ASSERT_EQ(dev.faultCounters().driftEvents, 1u);
 
     // Phase one matches the diagnosed model; after the buffer shrinks

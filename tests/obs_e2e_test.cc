@@ -13,13 +13,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/accuracy.h"
 #include "core/ssdcheck.h"
 #include "obs/audit_log.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
 #include "obs/trace_recorder.h"
 #include "perf/grid.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "workload/snia_synth.h"
@@ -27,6 +27,8 @@
 
 namespace ssdcheck::core {
 namespace {
+
+using recovery::evaluatePredictionAccuracy;
 
 using ssd::makePreset;
 using ssd::SsdDevice;
@@ -53,7 +55,7 @@ runOnce(bool attach)
 {
     SsdDevice dev(makePreset(SsdModel::A));
     // Diagnose on a clean twin so precondition() below starts from a
-    // fresh mapper (same pattern as the `ssdcheck trace` command).
+    // fresh mapper (same pattern as `ssdcheck run --trace-out`).
     SsdDevice cleanDev(makePreset(SsdModel::A));
     DiagnosisRunner runner(cleanDev, DiagnosisConfig{});
     const FeatureSet fs = runner.extractFeatures();

@@ -24,7 +24,7 @@
 #include "obs/exporter/telemetry.h"
 #include "obs/registry.h"
 #include "perf/grid.h"
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "workload/snia_synth.h"
 
@@ -322,10 +322,9 @@ TEST(HttpServerTest, AttachingTheExporterDoesNotPerturbARun)
     params.scale = 0.01;
     params.faults = "hostile";
     std::string err;
-    auto plain = recovery::CheckpointableRun::create(params, false, &err);
+    auto plain = recovery::createRun(params, false, &err);
     ASSERT_NE(plain, nullptr) << err;
-    auto scraped =
-        recovery::CheckpointableRun::create(params, false, &err);
+    auto scraped = recovery::createRun(params, false, &err);
     ASSERT_NE(scraped, nullptr) << err;
 
     TelemetryHub hub;
@@ -337,7 +336,7 @@ TEST(HttpServerTest, AttachingTheExporterDoesNotPerturbARun)
     // bit for bit.
     uint64_t steps = 0;
     while (!scraped->done()) {
-        scraped->step();
+        (void)scraped->step();
         if (++steps % 256 == 0) {
             RunStatus st;
             st.phase = "run";
@@ -352,7 +351,7 @@ TEST(HttpServerTest, AttachingTheExporterDoesNotPerturbARun)
     }
     srv.stop();
     while (!plain->done())
-        plain->step();
+        (void)plain->step();
 
     EXPECT_EQ(plain->checkpoint().serialize(),
               scraped->checkpoint().serialize());

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 #include "recovery/snapshot.h"
 #include "sim/rng.h"
 
@@ -39,12 +39,12 @@ realSnapshotBytes()
 {
     static const std::vector<uint8_t> bytes = [] {
         std::string err;
-        auto run = CheckpointableRun::create(fuzzParams(), false, &err);
+        auto run = createRun(fuzzParams(), false, &err);
         EXPECT_NE(run, nullptr) << err;
         if (!run)
             return std::vector<uint8_t>{};
         for (int i = 0; i < 64; ++i)
-            run->step();
+            (void)run->step();
         return run->checkpoint().serialize();
     }();
     return bytes;
@@ -89,7 +89,7 @@ expectHandledCleanly(const std::vector<uint8_t> &candidate,
         return;
     }
     std::string err;
-    auto run = CheckpointableRun::create(fuzzParams(), true, &err);
+    auto run = createRun(fuzzParams(), true, &err);
     ASSERT_NE(run, nullptr) << err;
     const LoadError re = run->restore(snap, &detail);
     EXPECT_FALSE(toString(re).empty()) << what;
@@ -124,8 +124,7 @@ TEST(RecoveryFuzzTest, EverySectionBoundaryTruncationIsHandled)
         if (cut != kHeaderSize &&
             snap.parse(t) == LoadError::Ok) {
             std::string err, detail;
-            auto run =
-                CheckpointableRun::create(fuzzParams(), true, &err);
+            auto run = createRun(fuzzParams(), true, &err);
             ASSERT_NE(run, nullptr) << err;
             // RunParams is diagnostics-only, so a cut that drops only
             // the trailing RunParams section still restores cleanly;
@@ -158,7 +157,7 @@ TEST(RecoveryFuzzTest, RandomBitFlipsNeverCrashOrLoadSilently)
         // Flips in the (unchecksummed) section table can still parse;
         // restore must then fail — the payload the run needs is gone.
         std::string err;
-        auto run = CheckpointableRun::create(fuzzParams(), true, &err);
+        auto run = createRun(fuzzParams(), true, &err);
         ASSERT_NE(run, nullptr) << err;
         EXPECT_NE(run->restore(snap, &detail), LoadError::Ok)
             << "bit flip at byte " << byteIdx << " loaded silently";

@@ -15,8 +15,9 @@
 #include <vector>
 
 #include "recovery/invariants.h"
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 #include "recovery/snapshot.h"
+#include "recovery/state_io.h"
 
 namespace ssdcheck::recovery {
 namespace {
@@ -32,6 +33,13 @@ propParams()
     p.scale = 0.004;
     p.supervisor = true;
     return p;
+}
+
+/** FNV-1a of a byte buffer: pins a final state in one number. */
+uint64_t
+fingerprint(const std::vector<uint8_t> &bytes)
+{
+    return fnv1a(std::string(bytes.begin(), bytes.end()));
 }
 
 struct GoldenRun
@@ -50,13 +58,13 @@ runGolden(const RunParams &params, uint64_t stride)
 {
     GoldenRun g;
     std::string err;
-    auto run = CheckpointableRun::create(params, false, &err);
+    auto run = createRun(params, false, &err);
     EXPECT_NE(run, nullptr) << err;
     if (!run)
         return g;
     g.traceSize = run->trace().size();
     while (!run->done()) {
-        run->step();
+        (void)run->step();
         if (!run->done() && run->cursor() % stride == 0)
             g.snapshots.emplace_back(run->cursor(),
                                      run->checkpoint().serialize());
@@ -77,6 +85,12 @@ TEST(RecoveryRoundtripTest, ResumeAtEveryStrideIsBitIdentical)
     ASSERT_FALSE(golden.snapshots.empty());
     ASSERT_GT(golden.traceSize, 3 * stride)
         << "trace too small to exercise multiple resume points";
+    // The uninterrupted run's final state is pinned: any change to the
+    // replay loop, the stack or the snapshot layout moves these
+    // (`ssdcheck run --device A --faults hostile --scale 0.004
+    // --supervisor --final-state-out F --metrics-out M` writes them).
+    EXPECT_EQ(fingerprint(golden.finalBytes), 0xa8e05994ae651a8cULL);
+    EXPECT_EQ(fnv1a(golden.finalMetrics), 0xffb6a557986ab999ULL);
 
     for (const auto &[k, bytes] : golden.snapshots) {
         SCOPED_TRACE("resume at request " + std::to_string(k));
@@ -86,7 +100,7 @@ TEST(RecoveryRoundtripTest, ResumeAtEveryStrideIsBitIdentical)
         EXPECT_EQ(snap.requestIndex(), k);
 
         std::string err;
-        auto resumed = CheckpointableRun::create(params, true, &err);
+        auto resumed = createRun(params, true, &err);
         ASSERT_NE(resumed, nullptr) << err;
         ASSERT_EQ(resumed->restore(snap, &detail), LoadError::Ok) << detail;
         EXPECT_EQ(resumed->cursor(), k);
@@ -97,7 +111,7 @@ TEST(RecoveryRoundtripTest, ResumeAtEveryStrideIsBitIdentical)
             << (violations.empty() ? "" : violations.front());
 
         while (!resumed->done())
-            resumed->step();
+            (void)resumed->step();
 
         EXPECT_EQ(resumed->checkpoint().serialize(), golden.finalBytes)
             << "final snapshot bytes differ from the uninterrupted run";
@@ -111,32 +125,43 @@ TEST(RecoveryRoundtripTest, ResumeAtEveryStrideIsBitIdentical)
     }
 }
 
+TEST(RecoveryRoundtripTest, GuardedRunFinalStateIsPinned)
+{
+    // The same run behind the guarded policy layer (add
+    // `--resilience guarded` to the command above).
+    RunParams params = propParams();
+    params.resilience = "guarded";
+    const GoldenRun golden = runGolden(params, UINT64_MAX);
+    EXPECT_EQ(fingerprint(golden.finalBytes), 0xd8916539dfdd4188ULL);
+    EXPECT_EQ(fnv1a(golden.finalMetrics), 0x61330b4e5a58b55bULL);
+}
+
 TEST(RecoveryRoundtripTest, ChainedResumesStayBitIdentical)
 {
     // Kill-and-resume repeatedly (what the soak does across processes,
     // here in-process): checkpoint, rebuild from bytes, continue.
     const RunParams params = propParams();
     std::string err;
-    auto golden = CheckpointableRun::create(params, false, &err);
+    auto golden = createRun(params, false, &err);
     ASSERT_NE(golden, nullptr) << err;
     const uint64_t traceSize = golden->trace().size();
     while (!golden->done())
-        golden->step();
+        (void)golden->step();
     const std::vector<uint8_t> goldenFinal =
         golden->checkpoint().serialize();
 
-    auto run = CheckpointableRun::create(params, false, &err);
+    auto run = createRun(params, false, &err);
     ASSERT_NE(run, nullptr) << err;
     const uint64_t hop = traceSize / 7 + 1;
     uint64_t target = hop;
     while (!run->done()) {
-        run->step();
+        (void)run->step();
         if (run->cursor() >= target && !run->done()) {
             const std::vector<uint8_t> bytes =
                 run->checkpoint().serialize();
             Snapshot snap;
             ASSERT_EQ(snap.parse(bytes), LoadError::Ok);
-            auto next = CheckpointableRun::create(params, true, &err);
+            auto next = createRun(params, true, &err);
             ASSERT_NE(next, nullptr) << err;
             std::string detail;
             ASSERT_EQ(next->restore(snap, &detail), LoadError::Ok)
@@ -153,17 +178,17 @@ TEST(RecoveryRoundtripTest, ConfigMismatchIsRefusedWithDetail)
     RunParams params = propParams();
     params.scale = 0.002; // keep this variant quick
     std::string err;
-    auto run = CheckpointableRun::create(params, false, &err);
+    auto run = createRun(params, false, &err);
     ASSERT_NE(run, nullptr) << err;
     for (int i = 0; i < 10; ++i)
-        run->step();
+        (void)run->step();
     const std::vector<uint8_t> bytes = run->checkpoint().serialize();
     Snapshot snap;
     ASSERT_EQ(snap.parse(bytes), LoadError::Ok);
 
     RunParams other = params;
     other.scale = 0.003;
-    auto resumed = CheckpointableRun::create(other, true, &err);
+    auto resumed = createRun(other, true, &err);
     ASSERT_NE(resumed, nullptr) << err;
     std::string detail;
     EXPECT_EQ(resumed->restore(snap, &detail), LoadError::ConfigMismatch);
@@ -179,10 +204,10 @@ TEST(RecoveryRoundtripTest, MissingSectionIsTypedError)
     params.scale = 0.002;
     params.supervisor = false;
     std::string err;
-    auto run = CheckpointableRun::create(params, false, &err);
+    auto run = createRun(params, false, &err);
     ASSERT_NE(run, nullptr) << err;
     for (int i = 0; i < 5; ++i)
-        run->step();
+        (void)run->step();
     const Snapshot full = run->checkpoint();
 
     // Rebuild the container without the registry section.
@@ -199,7 +224,7 @@ TEST(RecoveryRoundtripTest, MissingSectionIsTypedError)
     Snapshot reparsed;
     ASSERT_EQ(reparsed.parse(stripped.serialize()), LoadError::Ok);
 
-    auto resumed = CheckpointableRun::create(params, true, &err);
+    auto resumed = createRun(params, true, &err);
     ASSERT_NE(resumed, nullptr) << err;
     std::string detail;
     EXPECT_EQ(resumed->restore(reparsed, &detail),
@@ -212,16 +237,16 @@ TEST(RecoveryRoundtripTest, SupervisorSectionRejectedWithoutSupervisor)
     RunParams withSup = propParams();
     withSup.scale = 0.002;
     std::string err;
-    auto run = CheckpointableRun::create(withSup, false, &err);
+    auto run = createRun(withSup, false, &err);
     ASSERT_NE(run, nullptr) << err;
     for (int i = 0; i < 5; ++i)
-        run->step();
+        (void)run->step();
     Snapshot snap;
     ASSERT_EQ(snap.parse(run->checkpoint().serialize()), LoadError::Ok);
 
     RunParams noSup = withSup;
     noSup.supervisor = false;
-    auto resumed = CheckpointableRun::create(noSup, true, &err);
+    auto resumed = createRun(noSup, true, &err);
     ASSERT_NE(resumed, nullptr) << err;
     // forceConfig=true to get past the (correct) hash refusal and
     // prove the structural check still catches the mismatch.

@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "blockdev/resilient_device.h"
-#include "core/accuracy.h"
 #include "core/health_supervisor.h"
 #include "core/ssdcheck.h"
+#include "recovery/shard.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "workload/synthetic.h"
@@ -91,15 +91,15 @@ runThreePhases(bool withSupervisor)
     E2eOutcome out;
     sim::SimTime t;
     out.start = t;
-    out.pre = core::evaluatePredictionAccuracy(rdev, check, tracePre, t,
-                                               &t, sup.get());
+    out.pre = recovery::evaluatePredictionAccuracy(rdev, check, tracePre,
+                                                   t, &t, sup.get());
     EXPECT_EQ(dev.faultCounters().driftEvents, 0u)
         << "drift must not fire before phase one ends";
-    out.drift = core::evaluatePredictionAccuracy(rdev, check, traceDrift,
-                                                 t, &t, sup.get());
+    out.drift = recovery::evaluatePredictionAccuracy(
+        rdev, check, traceDrift, t, &t, sup.get());
     EXPECT_EQ(dev.faultCounters().driftEvents, 1u);
-    out.post = core::evaluatePredictionAccuracy(rdev, check, tracePost, t,
-                                                &t, sup.get());
+    out.post = recovery::evaluatePredictionAccuracy(rdev, check, tracePost,
+                                                    t, &t, sup.get());
     out.end = t;
     if (sup) {
         out.finalState = sup->state();

@@ -4,7 +4,7 @@
  *
  *   ssdcheck_audit <audit.jsonl> [--gc-threshold-ns N]
  *
- * Reads the per-request audit records `ssdcheck trace --audit-out`
+ * Reads the per-request audit records `ssdcheck run --audit-out`
  * produced, buckets the HL misses by proximate cause (fault-taint,
  * gc-drift, unmodeled-flush, unknown) and prints the report. The
  * optional --gc-threshold-ns overrides the drift bound used for

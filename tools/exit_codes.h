@@ -19,7 +19,7 @@ enum ExitCode : int
     kUsage = 1,
     /** Bad flag values, unreadable files, unknown presets. */
     kBadArgs = 2,
-    /** accuracy --min-recovered-accuracy floor violated. */
+    /** run --min-recovered-accuracy floor violated. */
     kRecoveryFloor = 3,
     /** bench --baseline perf gate regression. */
     kPerfGate = 4,
@@ -40,7 +40,7 @@ inline constexpr char kExitCodeTable[] =
     "  0  success\n"
     "  1  usage error (unknown command)\n"
     "  2  bad arguments / unreadable input\n"
-    "  3  recovered-accuracy floor violated (accuracy)\n"
+    "  3  recovered-accuracy floor violated (run)\n"
     "  4  perf-gate regression (bench --baseline)\n"
     "  5  corrupt snapshot (run --resume)\n"
     "  6  snapshot config mismatch (run --resume)\n"

@@ -53,7 +53,7 @@
 
 #include "obs/exporter/http_server.h"
 #include "recovery/invariants.h"
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 #include "recovery/snapshot.h"
 
 using namespace ssdcheck;
@@ -108,40 +108,6 @@ fileExists(const std::string &path)
     return std::ifstream(path).good();
 }
 
-/** Spawn `ssdcheck run` with @p args; return the raw waitpid status. */
-int
-spawnRun(const std::string &cli, const std::vector<std::string> &args)
-{
-    std::vector<std::string> full = {cli, "run"};
-    full.insert(full.end(), args.begin(), args.end());
-    const pid_t pid = fork();
-    if (pid < 0) {
-        std::perror("fork");
-        return -1;
-    }
-    if (pid == 0) {
-        // Child: silence the per-run report; keep stderr for errors.
-        if (FILE *sink = std::fopen("/dev/null", "w")) {
-            dup2(fileno(sink), STDOUT_FILENO);
-            std::fclose(sink);
-        }
-        std::vector<char *> argv;
-        argv.reserve(full.size() + 1);
-        for (std::string &s : full)
-            argv.push_back(s.data());
-        argv.push_back(nullptr);
-        execv(cli.c_str(), argv.data());
-        std::perror("execv");
-        _exit(127);
-    }
-    int status = 0;
-    if (waitpid(pid, &status, 0) < 0) {
-        std::perror("waitpid");
-        return -1;
-    }
-    return status;
-}
-
 /** Load + parse + restore + invariant-check one checkpoint file.
  *  @return the checkpoint's cursor, or UINT64_MAX on failure. */
 uint64_t
@@ -167,7 +133,7 @@ verifyCheckpoint(const recovery::RunParams &params,
         return UINT64_MAX;
     }
     std::string err;
-    auto run = recovery::CheckpointableRun::create(params, true, &err);
+    auto run = recovery::createRun(params, true, &err);
     if (!run) {
         std::fprintf(stderr, "FAIL: cannot build resume stack: %s\n",
                      err.c_str());
@@ -230,6 +196,22 @@ spawnRunAsync(const std::string &cli,
         _exit(127);
     }
     return pid;
+}
+
+/** Spawn `ssdcheck run` with @p args, its report silenced (stderr
+ *  keeps errors); wait for it. @return the raw waitpid status. */
+int
+spawnRun(const std::string &cli, const std::vector<std::string> &args)
+{
+    const pid_t pid = spawnRunAsync(cli, args, "/dev/null");
+    if (pid < 0)
+        return -1;
+    int status = 0;
+    if (waitpid(pid, &status, 0) < 0) {
+        std::perror("waitpid");
+        return -1;
+    }
+    return status;
 }
 
 /** Poll @p logPath for the "telemetry: http://127.0.0.1:PORT" line the
@@ -395,13 +377,13 @@ main(int argc, char **argv)
     // -- golden run: uninterrupted, in-process ---------------------------
     std::printf("golden run: %s\n", params.canonical().c_str());
     std::string err;
-    auto golden = recovery::CheckpointableRun::create(params, false, &err);
+    auto golden = recovery::createRun(params, false, &err);
     if (!golden) {
         std::fprintf(stderr, "cannot build golden run: %s\n", err.c_str());
         return 2;
     }
     while (!golden->done())
-        golden->step();
+        (void)golden->step();
     const std::vector<uint8_t> goldenBytes =
         golden->checkpoint().serialize();
     const uint64_t traceSize = golden->trace().size();

@@ -7,34 +7,16 @@
  *       Run the §III-B diagnosis snippets and print the device's
  *       internal features (Table-I style).
  *
- *   ssdcheck accuracy --device X [--workload NAME] [--scale F]
- *       Diagnose, build the runtime model, replay a workload in
- *       predict-before-issue mode and report NL/HL accuracy. With
- *       --supervisor the health supervisor watches the model, repairs
- *       drift online and prints its report; --min-recovered-accuracy F
- *       makes the command exit 3 when the run ends below F rolling HL
- *       accuracy or with the model disabled (CI soak-test hook).
- *
  *   ssdcheck synth --workload NAME --out FILE [--scale F] [--span P]
  *       Generate a synthetic trace (Table-II equivalents) to a file.
  *
  *   ssdcheck replay --device X --trace FILE
  *       Replay a saved trace and print the latency distribution.
  *
- *   ssdcheck trace --device X [--workload NAME] [--scale F]
- *                  [--out FILE] [--binary-out FILE] [--metrics-out FILE]
- *                  [--audit-out FILE] [--timeline-ms N] [--supervisor]
- *                  [--faults PROFILE]
- *       Run the accuracy replay with full observability attached:
- *       write a Chrome trace-event JSON (open in chrome://tracing or
- *       Perfetto), a metrics-registry snapshot and a misprediction
- *       audit JSONL, then print the audit report. --binary-out also
- *       writes the compact trace.bin form (obs/trace_binary.h).
- *
  *   ssdcheck trace-convert [--in trace.bin] [--out trace.json]
  *       Offline converter: turn a binary trace into Chrome JSON,
- *       byte-identical to what `ssdcheck trace` itself would have
- *       written for that run.
+ *       byte-identical to what `ssdcheck run --trace-out` itself would
+ *       have written for that run.
  *
  *   ssdcheck trace-stats [--in trace.bin] [--format text|json] [--top N]
  *       Offline analytics over a recorded binary trace: per-volume GC
@@ -42,12 +24,21 @@
  *       rate, and the top-N longest host requests.
  *
  *   ssdcheck run --device X [--workload NAME] [--scale F] ...
- *       The accuracy replay as a checkpointable run: with
+ *       Diagnose a fault-free twin, build the runtime model, replay a
+ *       workload in predict-before-issue mode and report NL/HL
+ *       accuracy. --supervisor attaches the health supervisor, which
+ *       repairs drift online; --min-recovered-accuracy F exits 3 when
+ *       the run ends below F rolling HL accuracy or with the model
+ *       disabled (CI soak hook). --metrics-out, --trace-out (Chrome
+ *       trace-event JSON), --binary-out (its trace.bin form) and
+ *       --audit-out (misprediction audit JSONL; its report is
+ *       printed) write the run's observability. With
  *       --checkpoint-every N --checkpoint-out F a complete snapshot of
  *       the deterministic simulation state is atomically written every
  *       N requests; --resume F continues a run bit-exactly from such a
  *       snapshot (exit 5 on a corrupt snapshot, 6 on a config
- *       mismatch). --kill-after-requests / --kill-in-checkpoint are
+ *       mismatch; the trace and audit outputs cannot be combined
+ *       with --resume). --kill-after-requests / --kill-in-checkpoint are
  *       the chaos hooks the soak harness (tools/soak) drives; see
  *       DESIGN.md "Crash consistency & state serialization".
  *       --listen PORT serves live telemetry (GET /metrics /runz
@@ -78,12 +69,16 @@
  *
  * Any device-taking command accepts --faults <profile> to run the
  * device with injected faults behind the host-side resilient I/O
- * path; error counters are reported after the run.
+ * path; error counters are reported after the run. A numeric flag
+ * whose value is not a number of the flag's type (trailing junk, a
+ * sign on an unsigned count, out of range) exits 2.
  *
  * Devices are the simulated presets; on a real system the same code
  * would sit behind an ioctl-capable block device.
  */
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -93,11 +88,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "blockdev/resilient_device.h"
 #include "exit_codes.h"
 #include "resilience/chaos.h"
-#include "core/accuracy.h"
 #include "core/diagnosis.h"
 #include "core/health_supervisor.h"
 #include "core/ssdcheck.h"
@@ -111,7 +106,7 @@
 #include "perf/thread_pool.h"
 #include "perf/wall_clock.h"
 #include "recovery/invariants.h"
-#include "recovery/run_state.h"
+#include "recovery/shard.h"
 #include "recovery/snapshot.h"
 #include "ssd/fault_injector.h"
 #include "ssd/presets.h"
@@ -124,6 +119,12 @@ using namespace ssdcheck;
 
 namespace {
 
+/** A numeric flag whose value does not parse (main() exits 2). */
+struct BadFlag
+{
+    std::string message;
+};
+
 /** argv parsed into --key value pairs + positionals. */
 struct Args
 {
@@ -134,6 +135,30 @@ struct Args
     {
         const auto it = options.find(k);
         return it == options.end() ? dflt : it->second;
+    }
+
+    /**
+     * Numeric flag @p k, or @p dflt when absent. The whole value must
+     * be one finite T: no trailing junk, no sign on an unsigned flag,
+     * nothing out of T's range.
+     * @throws BadFlag otherwise.
+     */
+    template <typename T>
+    T num(const std::string &k, T dflt) const
+    {
+        const auto it = options.find(k);
+        if (it == options.end())
+            return dflt;
+        const std::string &v = it->second;
+        T out{};
+        const char *end = v.data() + v.size();
+        const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+        bool finite = true;
+        if constexpr (std::is_floating_point_v<T>)
+            finite = std::isfinite(out);
+        if (v.empty() || ec != std::errc{} || ptr != end || !finite)
+            throw BadFlag{"bad value for --" + k + ": '" + v + "'"};
+        return out;
     }
 };
 
@@ -177,11 +202,7 @@ makeDevice(const std::string &name, const Args &args)
         return nullptr;
     }
     ssd::SsdConfig cfg;
-    if (name == "nvm") {
-        cfg = ssd::makeNvmBackedSsd();
-    } else if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'G') {
-        cfg = ssd::makePreset(static_cast<ssd::SsdModel>(name[0] - 'A'));
-    } else {
+    if (!ssd::presetByName(name, &cfg)) {
         std::fprintf(stderr, "unknown device '%s'\n", name.c_str());
         return nullptr;
     }
@@ -219,38 +240,6 @@ printFaultReport(const ssd::SsdDevice &dev,
     t.print(std::cout);
 }
 
-/** Attach one sink to the whole stack (device, resilient path, model,
- *  optional supervisor) and name the trace tracks. */
-void
-attachStack(const obs::Sink &sink, ssd::SsdDevice &dev,
-            blockdev::ResilientDevice &rdev, core::SsdCheck &check,
-            core::HealthSupervisor *sup)
-{
-    dev.attachObservability(sink);
-    rdev.attachObservability(sink);
-    check.attachObservability(sink);
-    if (sup != nullptr)
-        sup->attachObservability(sink);
-    if (sink.trace != nullptr) {
-        obs::TraceRecorder &tr = *sink.trace;
-        tr.setProcessName(obs::kHostPid, "host");
-        tr.setProcessName(obs::kDevicePid, "ssd " + dev.name());
-        tr.setThreadName({obs::kHostPid, obs::kHostWorkloadTid},
-                         "workload");
-        tr.setThreadName({obs::kHostPid, obs::kHostResilientTid},
-                         "resilient-io");
-        tr.setThreadName({obs::kHostPid, obs::kHostModelTid},
-                         "ssdcheck-model");
-        tr.setThreadName({obs::kHostPid, obs::kHostSupervisorTid},
-                         "supervisor");
-        tr.setThreadName({obs::kDevicePid, obs::kDeviceInterfaceTid},
-                         "interface");
-        for (uint32_t v = 0; v < dev.config().numVolumes(); ++v)
-            tr.setThreadName({obs::kDevicePid, v},
-                             "volume " + std::to_string(v));
-    }
-}
-
 /** Write @p body via @p writer to @p path; false + stderr on failure. */
 template <typename Writer>
 bool
@@ -263,18 +252,6 @@ writeFile(const std::string &path, Writer &&writer)
     }
     writer(os);
     return true;
-}
-
-workload::SniaWorkload
-workloadByName(const std::string &name, bool *ok)
-{
-    *ok = true;
-    for (const auto w : workload::allSniaWorkloads()) {
-        if (toString(w) == name)
-            return w;
-    }
-    *ok = false;
-    return workload::SniaWorkload::RwMixed;
 }
 
 /**
@@ -302,12 +279,11 @@ startTelemetry(const Args &args, Telemetry *t, int *rc)
 {
     if (!args.has("listen"))
         return true;
-    const uint16_t port =
-        static_cast<uint16_t>(std::stoul(args.get("listen", "0")));
+    const auto port = args.num<uint16_t>("listen", 0);
+    const auto staleMs = args.num<uint64_t>("stale-ms", 10000);
     t->server = std::make_unique<obs::HttpServer>(t->hub);
     if (args.has("stale-ms"))
-        t->server->setStaleNs(
-            std::stoull(args.get("stale-ms", "10000")) * 1000000ull);
+        t->server->setStaleNs(staleMs * 1000000ull);
     std::string err;
     if (!t->server->start(port, &err)) {
         std::fprintf(stderr, "cannot start telemetry server: %s\n",
@@ -327,7 +303,7 @@ startTelemetry(const Args &args, Telemetry *t, int *rc)
 
 /** Snapshot the run's progress for a telemetry publish. */
 obs::RunStatus
-runStatusOf(const recovery::CheckpointableRun &run, const char *phase,
+runStatusOf(const recovery::Shard &run, const char *phase,
             uint64_t checkpoints)
 {
     obs::RunStatus st;
@@ -394,113 +370,10 @@ cmdFingerprint(const Args &args)
 }
 
 int
-cmdAccuracy(const Args &args)
-{
-    auto dev = makeDevice(args.get("device", "A"), args);
-    if (!dev)
-        return cli::kBadArgs;
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
-        std::fprintf(stderr, "unknown workload\n");
-        return cli::kBadArgs;
-    }
-    const double scale = std::stod(args.get("scale", "0.05"));
-
-    // The host stack always talks to the device through the resilient
-    // path; on a healthy device it is a transparent pass-through.
-    blockdev::ResilientDevice rdev(*dev);
-
-    // Diagnosis is a one-time offline procedure: features come from a
-    // healthy twin (same model, no faults), so the whole fault budget
-    // lands on the measured run and the runtime machinery — retries,
-    // tainted-completion exclusion, drift response — is what's tested.
-    ssd::SsdConfig cleanCfg = dev->config();
-    cleanCfg.faults = ssd::FaultProfile{};
-    ssd::SsdDevice cleanDev(cleanCfg);
-    core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    std::printf("features: %s\n", fs.summary().c_str());
-    if (!fs.bufferModelUsable()) {
-        std::printf("no usable buffer model; prediction disabled\n");
-        return 0;
-    }
-    core::SsdCheck check(fs);
-    std::unique_ptr<core::HealthSupervisor> sup;
-    if (args.has("supervisor"))
-        sup = std::make_unique<core::HealthSupervisor>(check, rdev);
-
-    // Optional metrics snapshot of the run (registry views over every
-    // layer's counters; attaching never changes the results).
-    obs::Registry registry;
-    obs::Sink sink;
-    const bool wantMetrics = args.has("metrics-out");
-    if (wantMetrics) {
-        sink.metrics = &registry;
-        if (args.has("timeline-ms"))
-            registry.enableTimeline(sim::milliseconds(
-                std::stoll(args.get("timeline-ms", "100"))));
-        attachStack(sink, *dev, rdev, check, sup.get());
-    }
-
-    dev->precondition();
-    const auto trace =
-        workload::buildSniaTrace(w, dev->capacityPages(), scale);
-    sim::SimTime end;
-    const auto acc = core::evaluatePredictionAccuracy(
-        rdev, check, trace, runner.now(), &end, sup.get(),
-        wantMetrics ? &sink : nullptr);
-    if (wantMetrics) {
-        const std::string path = args.get("metrics-out", "metrics.json");
-        if (!writeFile(path,
-                       [&](std::ostream &os) { registry.writeJson(os, end); }))
-            return cli::kBadArgs;
-        std::printf("wrote %zu metrics to %s\n", registry.size(),
-                    path.c_str());
-    }
-    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
-                trace.name().c_str(), trace.size(),
-                acc.hlFraction() * 100);
-    std::printf("NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
-                acc.nlAccuracy() * 100, acc.hlAccuracy() * 100);
-    if (acc.faulted > 0)
-        std::printf("faulted requests excluded from recall: %llu\n",
-                    static_cast<unsigned long long>(acc.faulted));
-    printFaultReport(*dev, rdev);
-
-    const double rollingHl = check.monitor().rollingHlAccuracy();
-    if (sup) {
-        stats::printBanner(std::cout, "model health");
-        std::printf("%s", sup->report().c_str());
-        std::printf("rolling HL accuracy at end of run: %.2f%%\n",
-                    rollingHl * 100);
-    }
-    if (args.has("min-recovered-accuracy")) {
-        const double floor =
-            std::stod(args.get("min-recovered-accuracy", "0"));
-        const bool disabled =
-            (sup && sup->state() == core::HealthState::Disabled) ||
-            !check.enabled();
-        if (disabled || rollingHl < floor) {
-            std::fprintf(stderr,
-                         "FAIL: run ended %s with rolling HL accuracy "
-                         "%.2f%% (floor %.2f%%)\n",
-                         disabled ? "disabled" : "enabled",
-                         rollingHl * 100, floor * 100);
-            return cli::kRecoveryFloor;
-        }
-        std::printf("rolling HL accuracy %.2f%% meets floor %.2f%%\n",
-                    rollingHl * 100, floor * 100);
-    }
-    return 0;
-}
-
-int
 cmdSynth(const Args &args)
 {
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
+    workload::SniaWorkload w{};
+    if (!workload::sniaWorkloadByName(args.get("workload", "RW Mixed"), &w)) {
         std::fprintf(stderr, "unknown workload\n");
         return cli::kBadArgs;
     }
@@ -509,8 +382,8 @@ cmdSynth(const Args &args)
         std::fprintf(stderr, "--out FILE required\n");
         return cli::kBadArgs;
     }
-    const double scale = std::stod(args.get("scale", "0.05"));
-    const uint64_t span = std::stoull(args.get("span", "131072"));
+    const double scale = args.num("scale", 0.05);
+    const uint64_t span = args.num<uint64_t>("span", 131072);
     const auto trace = workload::buildSniaTrace(w, span, scale);
     std::ofstream os(out);
     if (!os) {
@@ -574,95 +447,21 @@ cmdReplay(const Args &args)
     return 0;
 }
 
-int
-cmdTrace(const Args &args)
+/** Read the SSDTRBIN file @p path; false + stderr on failure. */
+bool
+readBinaryTrace(const std::string &path, obs::TraceBinaryReader *reader)
 {
-    auto dev = makeDevice(args.get("device", "A"), args);
-    if (!dev)
-        return cli::kBadArgs;
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
-        std::fprintf(stderr, "unknown workload\n");
-        return cli::kBadArgs;
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return false;
     }
-    const double scale = std::stod(args.get("scale", "0.05"));
-
-    blockdev::ResilientDevice rdev(*dev);
-    ssd::SsdConfig cleanCfg = dev->config();
-    cleanCfg.faults = ssd::FaultProfile{};
-    ssd::SsdDevice cleanDev(cleanCfg);
-    core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    if (!fs.bufferModelUsable()) {
-        std::fprintf(stderr,
-                     "no usable buffer model; nothing to trace\n");
-        return cli::kBadArgs;
+    if (!reader->read(is)) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     reader->error().c_str());
+        return false;
     }
-    core::SsdCheck check(fs);
-    std::unique_ptr<core::HealthSupervisor> sup;
-    if (args.has("supervisor"))
-        sup = std::make_unique<core::HealthSupervisor>(check, rdev);
-
-    obs::TraceRecorder recorder;
-    obs::Registry registry;
-    obs::AuditLog audit;
-    const obs::Sink sink{&recorder, &registry, &audit};
-    if (args.has("timeline-ms"))
-        registry.enableTimeline(
-            sim::milliseconds(std::stoll(args.get("timeline-ms", "100"))));
-    attachStack(sink, *dev, rdev, check, sup.get());
-
-    dev->precondition();
-    const auto trace =
-        workload::buildSniaTrace(w, dev->capacityPages(), scale);
-    sim::SimTime end;
-    const auto acc = core::evaluatePredictionAccuracy(
-        rdev, check, trace, runner.now(), &end, sup.get(), &sink);
-    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n"
-                "NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
-                trace.name().c_str(), trace.size(),
-                acc.hlFraction() * 100, acc.nlAccuracy() * 100,
-                acc.hlAccuracy() * 100);
-
-    const std::string tracePath = args.get("out", "trace.json");
-    if (!writeFile(tracePath,
-                   [&](std::ostream &os) { recorder.writeChromeJson(os); }))
-        return cli::kBadArgs;
-    std::printf("wrote %zu trace events to %s "
-                "(open in chrome://tracing or ui.perfetto.dev)\n",
-                recorder.events(), tracePath.c_str());
-    if (args.has("metrics-out")) {
-        const std::string path = args.get("metrics-out", "metrics.json");
-        if (!writeFile(path,
-                       [&](std::ostream &os) { registry.writeJson(os, end); }))
-            return cli::kBadArgs;
-        std::printf("wrote %zu metrics to %s\n", registry.size(),
-                    path.c_str());
-    }
-    if (args.has("binary-out")) {
-        const std::string path = args.get("binary-out", "trace.bin");
-        if (!writeFile(path, [&](std::ostream &os) {
-                obs::writeTraceBinary(recorder, os);
-            }))
-            return cli::kBadArgs;
-        std::printf("wrote binary trace to %s "
-                    "(convert with `ssdcheck trace-convert`)\n",
-                    path.c_str());
-    }
-    if (args.has("audit-out")) {
-        const std::string path = args.get("audit-out", "audit.jsonl");
-        if (!writeFile(path,
-                       [&](std::ostream &os) { audit.writeJsonl(os); }))
-            return cli::kBadArgs;
-        std::printf("wrote %zu audit records to %s\n", audit.size(),
-                    path.c_str());
-    }
-
-    stats::printBanner(std::cout, "misprediction audit");
-    std::printf("%s", audit.analyze().format().c_str());
-    printFaultReport(*dev, rdev);
-    return 0;
+    return true;
 }
 
 int
@@ -670,17 +469,9 @@ cmdTraceConvert(const Args &args)
 {
     const std::string inPath = args.get("in", "trace.bin");
     const std::string outPath = args.get("out", "trace.json");
-    std::ifstream is(inPath, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "cannot open %s\n", inPath.c_str());
-        return cli::kBadArgs;
-    }
     obs::TraceBinaryReader reader;
-    if (!reader.read(is)) {
-        std::fprintf(stderr, "%s: %s\n", inPath.c_str(),
-                     reader.error().c_str());
+    if (!readBinaryTrace(inPath, &reader))
         return cli::kBadArgs;
-    }
     if (!writeFile(outPath, [&](std::ostream &os) {
             reader.recorder().writeChromeJson(os);
         }))
@@ -726,8 +517,8 @@ profileStagePass(double scale, obs::StageProfiler *prof, std::string *err)
             w, dev->capacityPages(), scale,
             1000 + static_cast<uint64_t>(w));
         sim::SimTime end = now;
-        (void)core::evaluatePredictionAccuracy(pdev, check, trace, now,
-                                               &end, nullptr, &sink);
+        (void)recovery::evaluatePredictionAccuracy(pdev, check, trace, now,
+                                                   &end, nullptr, &sink);
         now = end + sim::milliseconds(100);
     }
     return true;
@@ -754,20 +545,10 @@ renderStageNsJson(const obs::StageProfiler &prof)
 int
 cmdTraceStats(const Args &args)
 {
-    const std::string inPath = args.get("in", "trace.bin");
-    std::ifstream is(inPath, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "cannot open %s\n", inPath.c_str());
-        return cli::kBadArgs;
-    }
     obs::TraceBinaryReader reader;
-    if (!reader.read(is)) {
-        std::fprintf(stderr, "%s: %s\n", inPath.c_str(),
-                     reader.error().c_str());
+    if (!readBinaryTrace(args.get("in", "trace.bin"), &reader))
         return cli::kBadArgs;
-    }
-    const size_t topN =
-        static_cast<size_t>(std::stoull(args.get("top", "10")));
+    const size_t topN = args.num<size_t>("top", 10);
     const obs::TraceStats stats =
         obs::computeTraceStats(reader.recorder(), topN);
     const std::string format = args.get("format", "text");
@@ -787,11 +568,12 @@ cmdTraceStats(const Args &args)
 int
 cmdBench(const Args &args)
 {
-    const unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs",
-                            std::to_string(perf::ThreadPool::defaultJobs()))));
-    const double scale = std::stod(args.get("scale", "0.03"));
-    const uint64_t seedCount = std::stoull(args.get("seeds", "1"));
+    const unsigned jobs =
+        args.num("jobs", perf::ThreadPool::defaultJobs());
+    const double scale = args.num("scale", 0.03);
+    const uint64_t seedCount = args.num<uint64_t>("seeds", 1);
+    const double maxRegress = args.num("max-regress", 0.30);
+    const double maxStage = args.num("max-stage-regress", 3.0);
     if (seedCount == 0 || scale <= 0) {
         std::fprintf(stderr, "--seeds and --scale must be positive\n");
         return cli::kBadArgs;
@@ -853,8 +635,6 @@ cmdBench(const Args &args)
                          basePath.c_str());
             return cli::kBadArgs;
         }
-        const double maxRegress =
-            std::stod(args.get("max-regress", "0.30"));
         const double floor = *baseline * (1.0 - maxRegress);
         const double measured = grid.timing.iosPerSec();
         if (measured < floor) {
@@ -885,8 +665,6 @@ cmdBench(const Args &args)
         // allowed band is deliberately generous (default 3x each
         // way); the high side fails, the low side only warns that
         // the baseline has gone stale — like the aggregate gate.
-        const double maxStage =
-            std::stod(args.get("max-stage-regress", "3.0"));
         bool stageFail = false;
         for (size_t i = 0; i < obs::kStageCount; ++i) {
             const auto s = static_cast<obs::Stage>(i);
@@ -959,29 +737,37 @@ cmdRun(const Args &args)
     params.device = args.get("device", "A");
     params.faults = args.get("faults", "none");
     params.workload = args.get("workload", "RW Mixed");
-    params.scale = std::stod(args.get("scale", "0.05"));
+    params.scale = args.num("scale", 0.05);
     params.supervisor = args.has("supervisor");
-    params.timelineMs = std::stoll(args.get("timeline-ms", "0"));
+    params.timelineMs = args.num<int64_t>("timeline-ms", 0);
     params.resilience = args.get("resilience", "off");
 
     const std::string resumePath = args.get("resume", "");
     const std::string ckptOut = args.get("checkpoint-out", "");
-    const uint64_t ckptEvery =
-        std::stoull(args.get("checkpoint-every", "0"));
+    const auto ckptEvery = args.num<uint64_t>("checkpoint-every", 0);
     const std::string finalOut = args.get("final-state-out", "");
     const bool force = args.has("force");
-    const uint64_t killAfter =
-        std::stoull(args.get("kill-after-requests", "0"));
+    const auto killAfter = args.num<uint64_t>("kill-after-requests", 0);
     const bool killInCkpt = args.has("kill-in-checkpoint");
-    uint64_t publishEvery =
-        std::stoull(args.get("publish-every", "1024"));
+    auto publishEvery = args.num<uint64_t>("publish-every", 1024);
     if (publishEvery == 0)
         publishEvery = 1;
     // Chaos hook for the telemetry watchdog: park the sim thread after
     // N requests so /healthz flips 503 once the snapshot goes stale.
-    const uint64_t hangAfter =
-        std::stoull(args.get("hang-after-requests", "0"));
+    const auto hangAfter = args.num<uint64_t>("hang-after-requests", 0);
+    const double minRecovered = args.num("min-recovered-accuracy", 0.0);
+    const bool resuming = !resumePath.empty();
 
+    // Observability outputs: spans (Chrome JSON and/or SSDTRBIN) and
+    // the misprediction audit. Both must cover the whole run.
+    const bool wantTrace = args.has("trace-out") || args.has("binary-out");
+    const bool wantAudit = args.has("audit-out");
+    if (resuming && (wantTrace || wantAudit)) {
+        std::fprintf(stderr, "--trace-out, --binary-out and --audit-out "
+                             "cannot be combined with --resume: a "
+                             "resumed trace would be partial\n");
+        return cli::kBadArgs;
+    }
     if ((ckptEvery > 0) != !ckptOut.empty()) {
         std::fprintf(stderr, "--checkpoint-every and --checkpoint-out "
                              "must be given together\n");
@@ -997,7 +783,6 @@ cmdRun(const Args &args)
     }
 
     recovery::Snapshot snap;
-    const bool resuming = !resumePath.empty();
     if (resuming) {
         std::vector<uint8_t> bytes;
         std::string detail;
@@ -1018,22 +803,6 @@ cmdRun(const Args &args)
                          recovery::toString(e).c_str(), detail.c_str());
             return cli::kCorruptSnapshot;
         }
-        if (snap.configHash() != params.configHash() && !force) {
-            std::string taken = "<unrecorded>";
-            if (const auto *p =
-                    snap.section(recovery::SectionId::RunParams)) {
-                recovery::StateReader r(*p);
-                taken = r.str();
-            }
-            std::fprintf(stderr,
-                         "config mismatch: snapshot %s was taken with\n"
-                         "  %s\nbut this run is configured as\n  %s\n"
-                         "re-run with matching flags, or pass --force "
-                         "to resume anyway\n",
-                         resumePath.c_str(), taken.c_str(),
-                         params.canonical().c_str());
-            return cli::kConfigMismatch;
-        }
     }
 
     Telemetry tele;
@@ -1044,10 +813,13 @@ cmdRun(const Args &args)
     if (args.has("profile-stages"))
         profiler =
             std::make_unique<obs::StageProfiler>(&perf::wallNowNs);
+    obs::TraceRecorder recorder;
+    obs::AuditLog audit;
+    const obs::Sink sink{wantTrace ? &recorder : nullptr, nullptr,
+                         wantAudit ? &audit : nullptr, profiler.get()};
 
     std::string err;
-    auto run = recovery::CheckpointableRun::create(params, resuming, &err,
-                                                  profiler.get());
+    auto run = recovery::createRun(params, resuming, &err, &sink);
     if (!run) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return cli::kBadArgs;
@@ -1056,7 +828,10 @@ cmdRun(const Args &args)
         std::string detail;
         const recovery::LoadError e = run->restore(snap, &detail, force);
         if (e == recovery::LoadError::ConfigMismatch) {
-            std::fprintf(stderr, "config mismatch: %s\n", detail.c_str());
+            std::fprintf(stderr,
+                         "config mismatch: %s\nre-run with matching "
+                         "flags, or pass --force to resume anyway\n",
+                         detail.c_str());
             return cli::kConfigMismatch;
         }
         if (e != recovery::LoadError::Ok) {
@@ -1073,14 +848,17 @@ cmdRun(const Args &args)
     }
 
     uint64_t checkpoints = 0;
-    if (tele.active())
-        tele.hub.publish(run->registry(),
-                         runStatusOf(*run, "run", checkpoints));
+    auto publish = [&](const char *phase) {
+        if (tele.active())
+            tele.hub.publish(run->registry(),
+                             runStatusOf(*run, phase, checkpoints));
+    };
+    publish("run");
 
     uint64_t nextCkpt =
         ckptEvery > 0 ? (run->cursor() / ckptEvery + 1) * ckptEvery : 0;
     while (!run->done()) {
-        run->step();
+        (void)run->step();
         if (ckptEvery > 0 && run->cursor() >= nextCkpt) {
             const std::vector<uint8_t> bytes =
                 run->checkpoint().serialize();
@@ -1097,13 +875,10 @@ cmdRun(const Args &args)
             ++checkpoints;
             // Checkpoint boundaries are natural publish points: the
             // run is quiescent and the registry self-consistent.
-            if (tele.active())
-                tele.hub.publish(run->registry(),
-                                 runStatusOf(*run, "run", checkpoints));
+            publish("run");
         }
-        if (tele.active() && run->cursor() % publishEvery == 0)
-            tele.hub.publish(run->registry(),
-                             runStatusOf(*run, "run", checkpoints));
+        if (run->cursor() % publishEvery == 0)
+            publish("run");
         if (hangAfter > 0 && run->cursor() >= hangAfter) {
             std::printf("hanging after %llu requests (telemetry "
                         "watchdog hook); kill me\n",
@@ -1115,35 +890,33 @@ cmdRun(const Args &args)
         if (killAfter > 0 && !killInCkpt && run->cursor() >= killAfter)
             std::raise(SIGKILL);
     }
-    if (tele.active())
-        tele.hub.publish(run->registry(),
-                         runStatusOf(*run, "done", checkpoints));
+    publish("done");
 
-    if (!ckptOut.empty()) {
+    // The final state goes to the checkpoint (so a later --resume
+    // finds the run complete) and to --final-state-out.
+    for (const std::string &path : {ckptOut, finalOut}) {
+        if (path.empty())
+            continue;
         const std::string werr =
-            recovery::writeFileAtomic(ckptOut,
-                                      run->checkpoint().serialize());
+            recovery::writeFileAtomic(path, run->checkpoint().serialize());
         if (!werr.empty()) {
-            std::fprintf(stderr, "checkpoint failed: %s\n", werr.c_str());
-            return cli::kBadArgs;
-        }
-    }
-    if (!finalOut.empty()) {
-        const std::string werr = recovery::writeFileAtomic(
-            finalOut, run->checkpoint().serialize());
-        if (!werr.empty()) {
-            std::fprintf(stderr, "final state write failed: %s\n",
+            std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
                          werr.c_str());
             return cli::kBadArgs;
         }
     }
-    if (args.has("metrics-out")) {
-        const std::string path = args.get("metrics-out", "metrics.json");
-        if (!writeFile(path, [&](std::ostream &os) {
-                os << run->metricsJson();
-            }))
-            return cli::kBadArgs;
-    }
+    auto emit = [&](const char *flag, const char *dflt, auto &&writer) {
+        return !args.has(flag) || writeFile(args.get(flag, dflt), writer);
+    };
+    if (!emit("metrics-out", "metrics.json",
+              [&](std::ostream &os) { os << run->metricsJson(); }) ||
+        !emit("trace-out", "trace.json",
+              [&](std::ostream &os) { recorder.writeChromeJson(os); }) ||
+        !emit("binary-out", "trace.bin",
+              [&](std::ostream &os) { obs::writeTraceBinary(recorder, os); }) ||
+        !emit("audit-out", "audit.jsonl",
+              [&](std::ostream &os) { audit.writeJsonl(os); }))
+        return cli::kBadArgs;
 
     const core::AccuracyResult &acc = run->accuracy();
     std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
@@ -1154,9 +927,14 @@ cmdRun(const Args &args)
     if (acc.faulted > 0)
         std::printf("faulted requests excluded from recall: %llu\n",
                     static_cast<unsigned long long>(acc.faulted));
-    if (run->supervisorPtr() != nullptr) {
+    const core::HealthSupervisor *sup = run->supervisorPtr();
+    if (sup != nullptr) {
         stats::printBanner(std::cout, "model health");
-        std::printf("%s", run->supervisorPtr()->report().c_str());
+        std::printf("%s", sup->report().c_str());
+    }
+    if (wantAudit) {
+        stats::printBanner(std::cout, "misprediction audit");
+        std::printf("%s", audit.analyze().format().c_str());
     }
     printFaultReport(run->device(), run->resilient());
     if (profiler)
@@ -1169,6 +947,25 @@ cmdRun(const Args &args)
         if (!violations.empty())
             return cli::kInvariantViolation;
         std::printf("cross-layer invariants: OK\n");
+    }
+    if (args.has("min-recovered-accuracy")) {
+        // CI soak hook: the run must end with the model enabled and its
+        // rolling HL accuracy at or above the floor.
+        const core::SsdCheck &check = *run->checkPtr();
+        const double rollingHl = check.monitor().rollingHlAccuracy();
+        const bool disabled =
+            (sup != nullptr && sup->state() == core::HealthState::Disabled) ||
+            !check.enabled();
+        if (disabled || rollingHl < minRecovered) {
+            std::fprintf(stderr,
+                         "FAIL: run ended %s with rolling HL accuracy "
+                         "%.2f%% (floor %.2f%%)\n",
+                         disabled ? "disabled" : "enabled",
+                         rollingHl * 100, minRecovered * 100);
+            return cli::kRecoveryFloor;
+        }
+        std::printf("rolling HL accuracy %.2f%% meets floor %.2f%%\n",
+                    rollingHl * 100, minRecovered * 100);
     }
     return 0;
 }
@@ -1196,9 +993,8 @@ cmdChaos(const Args &args)
                      err.c_str());
         return cli::kBadArgs;
     }
-    const unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs",
-                            std::to_string(perf::ThreadPool::defaultJobs()))));
+    const unsigned jobs =
+        args.num("jobs", perf::ThreadPool::defaultJobs());
     Telemetry tele;
     int rc = cli::kOk;
     if (!startTelemetry(args, &tele, &rc))
@@ -1289,16 +1085,6 @@ usage(int rc)
     std::printf(
         "ssdcheck <command> [options]\n"
         "  fingerprint [--device A..G|nvm | --all] [--faults PROFILE]\n"
-        "  accuracy   --device X [--workload NAME] [--scale F]"
-        " [--faults PROFILE]\n"
-        "             [--supervisor] [--min-recovered-accuracy F]\n"
-        "             [--metrics-out FILE] [--timeline-ms N]\n"
-        "  trace      --device X [--workload NAME] [--scale F]"
-        " [--faults PROFILE]\n"
-        "             [--out FILE] [--binary-out FILE]"
-        " [--metrics-out FILE]\n"
-        "             [--audit-out FILE] [--timeline-ms N]"
-        " [--supervisor]\n"
         "  trace-convert [--in trace.bin] [--out trace.json]\n"
         "  trace-stats [--in trace.bin] [--format text|json] [--top N]\n"
         "  synth      --workload NAME --out FILE [--scale F] [--span P]\n"
@@ -1307,6 +1093,9 @@ usage(int rc)
         " [--faults PROFILE]\n"
         "             [--supervisor] [--resilience off|guarded|strict]\n"
         "             [--timeline-ms N] [--metrics-out FILE]\n"
+        "             [--trace-out FILE] [--binary-out FILE]"
+        " [--audit-out FILE]\n"
+        "             [--min-recovered-accuracy F]\n"
         "             [--checkpoint-every N --checkpoint-out FILE]"
         " [--resume FILE]\n"
         "             [--force] [--final-state-out FILE]"
@@ -1331,22 +1120,15 @@ usage(int rc)
     return rc;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+dispatch(const Args &args)
 {
-    const Args args = parse(argc, argv);
     if (args.command == "fingerprint")
         return cmdFingerprint(args);
-    if (args.command == "accuracy")
-        return cmdAccuracy(args);
     if (args.command == "synth")
         return cmdSynth(args);
     if (args.command == "replay")
         return cmdReplay(args);
-    if (args.command == "trace")
-        return cmdTrace(args);
     if (args.command == "trace-convert")
         return cmdTraceConvert(args);
     if (args.command == "trace-stats")
@@ -1363,4 +1145,17 @@ main(int argc, char **argv)
         args.command == "-h")
         return usage(cli::kOk);
     return usage(cli::kUsage);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return dispatch(parse(argc, argv));
+    } catch (const BadFlag &e) {
+        std::fprintf(stderr, "%s\n", e.message.c_str());
+        return cli::kBadArgs;
+    }
 }
