@@ -72,18 +72,19 @@ parseJobs(int argc, char **argv)
 }
 
 /**
- * Print the batch timing summary and write BENCH_grid.json next to
- * the binary's working directory (the CI perf-smoke artifact).
+ * Print the batch timing summary and write BENCH_<name>.json in the
+ * working directory, so every bench keeps its own report beside
+ * `ssdcheck bench`'s BENCH_grid.json.
  */
 inline void
-reportBatch(const std::string &name, const perf::BatchTiming &timing,
-            const std::string &jsonPath = "BENCH_grid.json")
+reportBatch(const std::string &name, const perf::BatchTiming &timing)
 {
     std::printf("\n%s: %zu shards, jobs=%u, wall %.2fs, "
                 "%.0f simulated IOs/s, aggregate speedup %.2fx\n",
                 name.c_str(), timing.tasks.size(), timing.jobs,
                 timing.wallSeconds, timing.iosPerSec(),
                 timing.aggregateSpeedup());
+    const std::string jsonPath = "BENCH_" + name + ".json";
     if (!perf::writeBenchGridJson(jsonPath, name, timing))
         std::fprintf(stderr, "warning: could not write %s\n",
                      jsonPath.c_str());

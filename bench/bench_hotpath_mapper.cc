@@ -155,7 +155,6 @@ main(int argc, char **argv)
                  "algorithmic cost: once the forward/inverse maps "
                  "outgrow the LLC, every op pays a few memory stalls. "
                  "A linear-scan implementation would grow ~64x.\n";
-    bench::reportBatch("hotpath_mapper", timing,
-                       "BENCH_hotpath_mapper.json");
+    bench::reportBatch("hotpath_mapper", timing);
     return 0;
 }

@@ -151,7 +151,7 @@ main(int argc, char **argv)
         }
     }
 
-    bench::reportBatch("hotpath_trace", timing, "BENCH_hotpath_trace.json");
+    bench::reportBatch("hotpath_trace", timing);
 
     if (maxOverheadPct >= 0 && overheadPct > maxOverheadPct) {
         std::fprintf(stderr,

@@ -86,7 +86,6 @@ SsdCheck::diagnose(blockdev::BlockDevice &dev, DiagnosisConfig cfg,
 Prediction
 SsdCheck::predict(const blockdev::IoRequest &req, sim::SimTime now) const
 {
-    const obs::StageScope stage(stages_, obs::Stage::Model);
     if (!enabled() || degraded_) {
         // Harmlessly disabled (or quarantined by the health
         // supervisor): everything reads as normal latency.
@@ -111,7 +110,6 @@ SsdCheck::onComplete(const blockdev::IoRequest &req, const Prediction &pred,
                      sim::SimTime submit, sim::SimTime complete,
                      blockdev::IoStatus status, uint32_t attempts)
 {
-    const obs::StageScope stage(stages_, obs::Stage::Model);
     bool actualHl;
     if (engine_ != nullptr)
         actualHl = engine_->onComplete(req, pred, submit, complete, status,
@@ -129,7 +127,6 @@ SsdCheck::attachObservability(const obs::Sink &sink)
 {
     trace_ = sink.trace;
     audit_ = sink.audit;
-    stages_ = sink.stages;
     if (audit_ != nullptr)
         audit_->setGcThreshold(monitor_.thresholds().gc);
     if (sink.metrics != nullptr)

@@ -189,7 +189,6 @@ class SsdCheck
     // Observability (null until attachObservability()).
     obs::TraceRecorder *trace_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
     obs::AuditLog *audit_ = nullptr; // snapshot:skip(non-owning audit sink, re-attached after restore; loadState only resets its dedup cursor)
-    obs::StageProfiler *stages_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
 };
 
 } // namespace ssdcheck::core

@@ -8,9 +8,10 @@
  * block and one payload stamp per flat page — because the flat Ppn
  * encoding is plane-major and planes map to chips in contiguous
  * ranges, so no per-operation chip routing (divide by planes-per-chip)
- * is needed at all. Chip-level invariants (erase-before-write,
- * sequential in-block programming) are enforced directly on the flat
- * state; NandChip remains as the reference model for the unit tests.
+ * is needed at all. The physical rules of NAND — erase-before-write
+ * (a page is programmed once per erase cycle), sequential in-block
+ * programming, whole-block erase, no read of an unprogrammed page —
+ * are asserted directly on the flat state.
  *
  * The array also provides the batch-timing model: operations spread
  * over N planes proceed in parallel, so a batch of k page programs
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "nand/nand_chip.h"
 #include "nand/nand_config.h"
 
 namespace ssdcheck::recovery {
@@ -32,6 +32,9 @@ class StateReader;
 } // namespace ssdcheck::recovery
 
 namespace ssdcheck::nand {
+
+/** Sentinel payload of a never-programmed (erased) page. */
+inline constexpr uint64_t kErasedPayload = ~0ULL;
 
 /** Flat structure-of-arrays NAND state addressed by Ppn/Pbn. */
 class NandArray

@@ -1,7 +1,8 @@
 /**
  * @file
- * The observability attachment point: a bundle of optional pillar
- * pointers components accept via attachObservability(). Every pointer
+ * The observability attachment point: the three optional pillar
+ * pointers (span trace, metrics registry, misprediction audit) that
+ * components accept via attachObservability(). Every pointer
  * may be null — a component hooked with a partial sink only feeds the
  * pillars present, and with no sink at all every hook is one null
  * check (the near-zero-when-disabled contract).
@@ -14,7 +15,6 @@
 
 #include "obs/audit_log.h"
 #include "obs/registry.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace_recorder.h"
 
 namespace ssdcheck::obs {
@@ -25,13 +25,6 @@ struct Sink
     TraceRecorder *trace = nullptr;
     Registry *metrics = nullptr;
     AuditLog *audit = nullptr;
-    StageProfiler *stages = nullptr;
-
-    bool any() const
-    {
-        return trace != nullptr || metrics != nullptr ||
-               audit != nullptr || stages != nullptr;
-    }
 };
 
 } // namespace ssdcheck::obs

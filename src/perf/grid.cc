@@ -1,6 +1,7 @@
 #include "perf/grid.h"
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -207,8 +208,7 @@ runGrid(const GridSpec &spec, unsigned jobs)
 
 bool
 writeBenchGridJson(const std::string &path, const std::string &name,
-                   const BatchTiming &timing,
-                   const std::string &extraJson)
+                   const BatchTiming &timing)
 {
     std::ofstream os(path);
     if (!os)
@@ -227,8 +227,6 @@ writeBenchGridJson(const std::string &path, const std::string &name,
          << ",\n";
     body << "  \"simulated_ios\": " << timing.simulatedIos() << ",\n";
     body << "  \"ios_per_sec\": " << timing.iosPerSec() << ",\n";
-    if (!extraJson.empty())
-        body << "  " << extraJson << ",\n";
     body << "  \"tasks\": [\n";
     for (size_t i = 0; i < timing.tasks.size(); ++i) {
         const TaskTiming &t = timing.tasks[i];
@@ -260,39 +258,15 @@ readBaselineIosPerSec(const std::string &path)
     const size_t colon = text.find(':', key);
     if (colon == std::string::npos)
         return std::nullopt;
+    double value = 0;
     try {
-        return std::stod(text.substr(colon + 1));
+        value = std::stod(text.substr(colon + 1));
     } catch (...) {
         return std::nullopt;
     }
-}
-
-std::optional<int64_t>
-readBaselineStageNs(const std::string &path, const std::string &stage)
-{
-    std::ifstream is(path);
-    if (!is)
+    if (!std::isfinite(value) || value <= 0)
         return std::nullopt;
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-    const size_t block = text.find("\"stage_ns\"");
-    if (block == std::string::npos)
-        return std::nullopt;
-    const size_t entry = text.find("\"" + stage + "\"", block);
-    if (entry == std::string::npos)
-        return std::nullopt;
-    const size_t key = text.find("\"ns_per_request\"", entry);
-    if (key == std::string::npos)
-        return std::nullopt;
-    const size_t colon = text.find(':', key);
-    if (colon == std::string::npos)
-        return std::nullopt;
-    try {
-        return static_cast<int64_t>(std::stoll(text.substr(colon + 1)));
-    } catch (...) {
-        return std::nullopt;
-    }
+    return value;
 }
 
 } // namespace ssdcheck::perf

@@ -132,31 +132,20 @@ BatchTiming runTimedBatch(
 
 /**
  * Write the machine-readable benchmark report (BENCH_grid.json).
- * @param extraJson optional extra top-level member(s), a complete
- *        `"key": value` fragment without the trailing comma (the
- *        bench CLI passes its `"stage_ns": {...}` block here).
  * @return false when the file could not be opened.
  */
 bool writeBenchGridJson(const std::string &path, const std::string &name,
-                        const BatchTiming &timing,
-                        const std::string &extraJson = "");
+                        const BatchTiming &timing);
 
 /**
  * Extract "ios_per_sec" from a previously written BENCH_grid.json
  * (top-level aggregate value). Tolerant single-key parser — no JSON
  * dependency in the tree.
+ * @return nullopt when the file or key is missing, or the value is not
+ *         a finite positive number: a gate floor derived from it would
+ *         never fail.
  */
 std::optional<double> readBaselineIosPerSec(const std::string &path);
-
-/**
- * Extract one stage's "ns_per_request" from the "stage_ns" block of a
- * BENCH_grid.json (same tolerant scanning as readBaselineIosPerSec).
- * @return nullopt when the file, the block or the stage is absent —
- *         callers skip the per-stage gate for missing entries, so old
- *         baselines without a stage_ns block keep working.
- */
-std::optional<int64_t> readBaselineStageNs(const std::string &path,
-                                           const std::string &stage);
 
 } // namespace ssdcheck::perf
 

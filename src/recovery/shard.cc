@@ -29,7 +29,6 @@ struct RequestPath
     obs::TraceRecorder *spans;
     obs::Registry *metrics;
     obs::Histogram hostLatency;
-    obs::StageProfiler *stages;
 };
 
 /**
@@ -73,28 +72,20 @@ replayRequest(RequestPath &p, const blockdev::IoRequest &req,
                             res.attempts);
     if (p.sup != nullptr)
         p.sup->onCompletion(req, actualHl, res);
-    {
-        // Span emission and registry upkeep are observability
-        // overhead, not simulation work: bill them to the trace
-        // stage so the profiler separates them from wb/gc/nand.
-        const obs::StageScope obsStage(p.stages, obs::Stage::Trace);
-        if (p.spans != nullptr) {
-            obs::TraceArg *a = p.spans->completeFill(
-                "host", "host.request",
-                obs::TraceTrack{obs::kHostPid, obs::kHostWorkloadTid}, t,
-                res.completeTime - t, 4);
-            a[0] = {"lba", static_cast<int64_t>(req.lba)};
-            a[1] = {"write", req.isWrite() ? 1 : 0};
-            a[2] = {"pred_hl", pred.hl ? 1 : 0};
-            a[3] = {"actual_hl", actualHl ? 1 : 0};
-        }
-        if (p.metrics != nullptr) {
-            p.hostLatency.observe(res.completeTime - t);
-            p.metrics->tick(res.completeTime);
-        }
+    if (p.spans != nullptr) {
+        obs::TraceArg *a = p.spans->completeFill(
+            "host", "host.request",
+            obs::TraceTrack{obs::kHostPid, obs::kHostWorkloadTid}, t,
+            res.completeTime - t, 4);
+        a[0] = {"lba", static_cast<int64_t>(req.lba)};
+        a[1] = {"write", req.isWrite() ? 1 : 0};
+        a[2] = {"pred_hl", pred.hl ? 1 : 0};
+        a[3] = {"actual_hl", actualHl ? 1 : 0};
     }
-    if (p.stages != nullptr)
-        p.stages->addRequest();
+    if (p.metrics != nullptr) {
+        p.hostLatency.observe(res.completeTime - t);
+        p.metrics->tick(res.completeTime);
+    }
     if (res.ok())
         lastOk = res.completeTime - t;
     if (!res.ok() || res.attempts > 1) {
@@ -234,7 +225,6 @@ Shard::create(const ShardSpec &spec, bool forResume, std::string *err,
     obs::Sink all = sink != nullptr ? *sink : obs::Sink{};
     all.metrics = &s->registry_;
     s->spans_ = all.trace;
-    s->stages_ = all.stages;
     if (spec.timelineMs > 0)
         s->registry_.enableTimeline(sim::milliseconds(spec.timelineMs));
     s->dev_->attachObservability(all);
@@ -249,10 +239,6 @@ Shard::create(const ShardSpec &spec, bool forResume, std::string *err,
         nameTracks(*all.trace, *s->dev_);
     s->hostLatency_ =
         s->registry_.histogram("host_latency_ns", kHostLatencyBounds);
-    // Stage views last: they are registry views (never serialized), so
-    // their presence cannot perturb checkpoint bytes or restore order.
-    if (all.stages != nullptr)
-        all.stages->exportTo(s->registry_);
 
     if (!forResume)
         s->dev_->precondition();
@@ -268,7 +254,7 @@ blockdev::IoResult
 Shard::step()
 {
     RequestPath path{*rdev_, pdev_.get(), check_.get(), sup_.get(),
-                     spans_, &registry_,  hostLatency_, stages_};
+                     spans_, &registry_, hostLatency_};
     const sim::SimTime arrival =
         origin_ + static_cast<sim::SimDuration>(cursor_) * spec_.arrivalPeriod;
     const blockdev::IoResult res = replayRequest(
@@ -416,7 +402,7 @@ evaluatePredictionAccuracy(blockdev::BlockDevice &dev, core::SsdCheck &check,
         hostLatency =
             s.metrics->histogram("host_latency_ns", kHostLatencyBounds);
     RequestPath path{dev,     nullptr,   &check,      supervisor,
-                     s.trace, s.metrics, hostLatency, s.stages};
+                     s.trace, s.metrics, hostLatency};
     core::AccuracyResult acc;
     sim::SimTime t = startTime;
     sim::SimDuration lastOk = 0;

@@ -103,10 +103,9 @@ class Shard
      * @param err receives a description when construction fails.
      * @param sink optional observability beside the shard's own
      *        registry (its metrics member is ignored): a trace
-     *        recorder for host.request spans and named tracks, an
-     *        audit log and a per-stage cost profiler. None of them is
-     *        serialized, so attaching one cannot change checkpoint
-     *        bytes.
+     *        recorder for host.request spans and named tracks, and an
+     *        audit log. Neither is serialized, so attaching one cannot
+     *        change checkpoint bytes.
      * @return the shard, or nullptr (with @p err set).
      */
     static std::unique_ptr<Shard> create(const ShardSpec &spec,
@@ -191,7 +190,6 @@ class Shard
     obs::Registry registry_;
     obs::Histogram hostLatency_;
     obs::TraceRecorder *spans_ = nullptr;
-    obs::StageProfiler *stages_ = nullptr;
     workload::Trace trace_;
     core::AccuracyResult acc_;
     sim::SimTime t_;

@@ -19,7 +19,7 @@
  *
  * Snapshots are taken at quiescent request-stream barriers (between
  * closed-loop requests, queue depth 0), so no in-flight request or
- * event-queue closure ever needs serializing. Loading validates the
+ * pending callback ever needs serializing. Loading validates the
  * magic, version, header CRC and every section CRC before any
  * component sees a byte; every failure is a typed LoadError, never a
  * crash or a silent partial load.

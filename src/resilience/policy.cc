@@ -309,7 +309,6 @@ blockdev::IoResult
 PolicyDevice::submitHinted(const blockdev::IoRequest &req, sim::SimTime now,
                            sim::SimDuration predictedLatency)
 {
-    const obs::StageScope stage(stages_, obs::Stage::Policy);
     if (!cfg_.enabled)
         return inner_.submit(req, now);
 
@@ -401,7 +400,6 @@ void
 PolicyDevice::attachObservability(const obs::Sink &sink)
 {
     trace_ = sink.trace;
-    stages_ = sink.stages;
     if (sink.metrics != nullptr) {
         obs::Registry &reg = *sink.metrics;
         const obs::Labels labels = {{"device", inner_.name()}};

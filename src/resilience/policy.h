@@ -288,7 +288,6 @@ class PolicyDevice : public blockdev::BlockDevice
 
     // Observability (null until attachObservability()).
     obs::TraceRecorder *trace_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
-    obs::StageProfiler *stages_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
 };
 
 /** Named policy presets for the CLI / chaos scenarios. */

@@ -30,9 +30,6 @@ Volume::jitter(sim::SimDuration d)
 sim::SimDuration
 Volume::flush(sim::SimTime at, IoDetail *detail, FlushReason reason)
 {
-    // Flush work bills to the wb stage regardless of what triggered
-    // it; the GC block below opens its own (inner) gc stage.
-    const obs::StageScope stage(stages_, obs::Stage::Wb);
     // The triggering request needs a free buffer: with double
     // buffering that means the previous flush must have finished.
     const sim::SimDuration stall =
@@ -113,7 +110,6 @@ Volume::flush(sim::SimTime at, IoDetail *detail, FlushReason reason)
     // The reclaim target varies a little per invocation, like adaptive
     // firmware does; this is what gives GC intervals a distribution.
     if (gc_.needed()) {
-        const obs::StageScope gcStage(stages_, obs::Stage::Gc);
         victimScratch_.clear();
         const GcResult res =
             gc_.collect(static_cast<uint32_t>(rng_.nextBelow(4)),
@@ -191,7 +187,6 @@ Volume::serveWrite(sim::SimTime start, Lpn lpn, uint64_t payload,
                    IoDetail *detail)
 {
     assert(lpn.value() < cfg_.userPagesPerVolume());
-    const obs::StageScope stage(stages_, obs::Stage::Wb);
     ++counters_.writes;
     if (detail != nullptr)
         detail->volume = volumeIndex_;
@@ -240,7 +235,6 @@ Volume::serveRead(sim::SimTime start, Lpn lpn, uint64_t *payloadOut,
                   IoDetail *detail)
 {
     assert(lpn.value() < cfg_.userPagesPerVolume());
-    const obs::StageScope stage(stages_, obs::Stage::Nand);
     ++counters_.reads;
     if (detail != nullptr)
         detail->volume = volumeIndex_;
@@ -327,7 +321,6 @@ void
 Volume::attachObservability(const obs::Sink &sink, const std::string &device)
 {
     trace_ = sink.trace;
-    stages_ = sink.stages;
     track_ = obs::TraceTrack{obs::kDevicePid, volumeIndex_};
     if (sink.metrics != nullptr) {
         obs::Registry &reg = *sink.metrics;

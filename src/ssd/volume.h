@@ -217,7 +217,6 @@ class Volume
     // Observability (null/unused until attachObservability()).
     obs::TraceRecorder *trace_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
     obs::TraceTrack track_{obs::kDevicePid, 0}; // snapshot:skip(non-owning observability hook, re-attached after restore)
-    obs::StageProfiler *stages_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)
     std::vector<GcVictim> victimScratch_; ///< Reused across GC runs. // snapshot:skip(transient scratch, cleared before each use)
 };
 

@@ -69,26 +69,4 @@ buildRwMixedTrace(uint64_t requests, uint64_t spanPages, uint64_t seed)
     return t;
 }
 
-Trace
-buildHotColdWriteTrace(uint64_t requests, uint64_t hotPages,
-                       double hotFraction, uint64_t spanPages,
-                       uint64_t seed)
-{
-    assert(hotPages > 0 && hotPages <= spanPages);
-    sim::Rng rng(seed);
-    Trace t("hot-cold-write");
-    t.reserve(requests);
-    for (uint64_t i = 0; i < requests; ++i) {
-        IoRequest req;
-        req.type = IoType::Write;
-        const uint64_t page = rng.bernoulli(hotFraction)
-                                  ? rng.nextBelow(hotPages)
-                                  : rng.nextBelow(spanPages);
-        req.lba = page * kSectorsPerPage;
-        req.sectors = kSectorsPerPage;
-        t.add(req);
-    }
-    return t;
-}
-
 } // namespace ssdcheck::workload

@@ -45,15 +45,5 @@ Trace buildRandomWriteTrace(uint64_t requests, uint64_t spanPages,
 Trace buildRwMixedTrace(uint64_t requests, uint64_t spanPages,
                         uint64_t seed);
 
-/**
- * Skewed write-intensive workload: @p hotFraction of writes hit a hot
- * set of @p hotPages pages, the rest spread uniformly over
- * @p spanPages. This is the Fig. 15a benchmark shape — write locality
- * is what lets an NVM tier coalesce rewrites.
- */
-Trace buildHotColdWriteTrace(uint64_t requests, uint64_t hotPages,
-                             double hotFraction, uint64_t spanPages,
-                             uint64_t seed);
-
 } // namespace ssdcheck::workload
 

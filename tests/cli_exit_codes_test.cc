@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,44 @@ TEST(CliExitCodes, BadArgumentsExitBadArgs)
               cli::kBadArgs)
         << out;
     EXPECT_NE(out.find("--resume"), std::string::npos) << out;
+    // A flag the command does not read, a value given to a switch, or
+    // a stray word is named and refused, never silently ignored.
+    for (const auto &[bad, named] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"run --supervisor --scale 0.002 "
+              "--min-recoverd-accuracy 1.01",
+              "--min-recoverd-accuracy"},
+             {"run --scale 0.002 --supervsior", "--supervsior"},
+             {"run A --scale 0.002", "'A'"},
+             {"run --scale 0.002 --supervisor=yes", "--supervisor"},
+             {"run --profile-stages", "--profile-stages"},
+             {"bench --max-stage-regress 3", "--max-stage-regress"},
+             {"chaos --scenario x.chaos --publish-every 8",
+              "--publish-every"}}) {
+        EXPECT_EQ(runCli(bad, &out), cli::kBadArgs) << bad << "\n" << out;
+        EXPECT_NE(out.find(named), std::string::npos) << bad << "\n" << out;
+    }
+    // A regress fraction of 1 or more would make the gate unfailable.
+    EXPECT_EQ(runCli("bench --max-regress 1.5", &out), cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("--max-regress"), std::string::npos) << out;
+    // So would a baseline that is not a finite positive number; it is
+    // refused before the grid runs.
+    const std::string basePath =
+        testing::TempDir() + "/cli_exit_codes_baseline.json";
+    for (const char *value : {"nan", "0", "-5"}) {
+        {
+            std::ofstream f(basePath);
+            f << "{\"ios_per_sec\": " << value << "}\n";
+        }
+        EXPECT_EQ(runCli("bench --baseline " + basePath, &out),
+                  cli::kBadArgs)
+            << value << "\n"
+            << out;
+        EXPECT_NE(out.find("cannot read baseline"), std::string::npos)
+            << out;
+    }
+    std::remove(basePath.c_str());
 }
 
 TEST(CliExitCodes, RecoveredAccuracyFloorMissExitsRecoveryFloor)

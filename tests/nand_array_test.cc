@@ -96,6 +96,65 @@ TEST(NandArrayTest, TotalsMatchGeometry)
     EXPECT_EQ(arr.totalBlocks(), geo32().totalBlocks());
 }
 
+TEST(NandArrayTest, ReprogrammingAnErasedBlockReturnsTheNewPayload)
+{
+    NandArray arr(geo32(), NandTiming{});
+    const Ppn page{3 * uint64_t{geo32().pagesPerBlock}};
+    arr.programPage(page, 7);
+    arr.eraseBlock(Pbn{3});
+    arr.programPage(page, 99);
+    uint64_t payload = 0;
+    arr.readPage(page, &payload);
+    EXPECT_EQ(payload, 99u);
+}
+
+TEST(NandArrayTest, OperationsReturnConfiguredLatencies)
+{
+    NandTiming t;
+    t.readLatency = 11;
+    t.programLatency = 22;
+    t.eraseLatency = 33;
+    NandArray arr(geo32(), t);
+    EXPECT_EQ(arr.programPage(Ppn{0}, 1), 22);
+    EXPECT_EQ(arr.readPage(Ppn{0}), 11);
+    EXPECT_EQ(arr.eraseBlock(Pbn{0}), 33);
+}
+
+TEST(NandArrayTest, EraseLeavesOtherBlocksProgrammed)
+{
+    NandArray arr(geo32(), NandTiming{});
+    const uint64_t ppb = geo32().pagesPerBlock;
+    arr.programPage(Ppn{0}, 1);
+    arr.programPage(Ppn{ppb}, 2);
+    arr.eraseBlock(Pbn{0});
+    EXPECT_FALSE(arr.isProgrammed(Ppn{0}));
+    EXPECT_TRUE(arr.isProgrammed(Ppn{ppb}));
+    uint64_t payload = 0;
+    arr.readPage(Ppn{ppb}, &payload);
+    EXPECT_EQ(payload, 2u);
+}
+
+#ifndef NDEBUG
+TEST(NandArrayDeathTest, NonSequentialProgramAsserts)
+{
+    NandArray arr(geo32(), NandTiming{});
+    EXPECT_DEATH(arr.programPage(Ppn{3}, 1), "sequential");
+}
+
+TEST(NandArrayDeathTest, DoubleProgramAsserts)
+{
+    NandArray arr(geo32(), NandTiming{});
+    arr.programPage(Ppn{0}, 1);
+    EXPECT_DEATH(arr.programPage(Ppn{0}, 2), "sequential");
+}
+
+TEST(NandArrayDeathTest, ReadingUnprogrammedPageAsserts)
+{
+    NandArray arr(geo32(), NandTiming{});
+    EXPECT_DEATH(arr.readPage(Ppn{0}), "unprogrammed");
+}
+#endif
+
 /** Parameterized sweep: write pointers independent across geometries. */
 class NandArrayGeometrySweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>>

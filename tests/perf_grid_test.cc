@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
@@ -109,6 +110,28 @@ TEST(BenchGridJsonTest, MissingBaselineFileIsEmpty)
 {
     EXPECT_FALSE(
         readBaselineIosPerSec("/nonexistent/bench.json").has_value());
+}
+
+TEST(BenchGridJsonTest, NonFiniteOrNonPositiveBaselineIsEmpty)
+{
+    // Each of these would put the gate floor at NaN, zero or below
+    // zero, where no measurement can fail it.
+    const std::string path = ::testing::TempDir() + "bench_grid_bad.json";
+    for (const char *value : {"nan", "-nan", "inf", "0", "-5", "abc"}) {
+        {
+            std::ofstream f(path);
+            f << "{\"ios_per_sec\": " << value << "}\n";
+        }
+        EXPECT_FALSE(readBaselineIosPerSec(path).has_value()) << value;
+    }
+    {
+        std::ofstream f(path);
+        f << "{\"ios_per_sec\": 2500000.5}\n";
+    }
+    const auto ok = readBaselineIosPerSec(path);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_DOUBLE_EQ(*ok, 2500000.5);
+    std::remove(path.c_str());
 }
 
 /** Small two-device grid used by the determinism tests. */

@@ -17,7 +17,8 @@ enum ExitCode : int
     kOk = 0,
     /** Unknown command / help requested via a failing path. */
     kUsage = 1,
-    /** Bad flag values, unreadable files, unknown presets. */
+    /** Unknown flags, stray words, bad flag values, unreadable
+     *  files, unknown presets. */
     kBadArgs = 2,
     /** run --min-recovered-accuracy floor violated. */
     kRecoveryFloor = 3,

@@ -18,9 +18,10 @@
  *                        in deterministic dirs: iteration order is
  *                        implementation-defined and leaks straight
  *                        into results.
- *   std-function    (R3) no std::function in src/sim or src/ssd; the
- *                        hot path uses sim::SmallCallback (PR 3) and
- *                        must not regress to heap-allocating erasure.
+ *   std-function    (R3) no std::function in src/sim or src/ssd; a
+ *                        hot-path callable is a template parameter or
+ *                        a function pointer, never heap-allocating
+ *                        type erasure.
  *   header-hygiene  (R4) every scanned header starts with
  *                        #pragma once and directly includes the std
  *                        headers for the std names it uses.

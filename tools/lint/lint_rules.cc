@@ -291,8 +291,9 @@ class StdFunctionRule : public Rule
                     !identChar(line[pos + token.size()]))
                     out.push_back(Finding{
                         f.relPath, static_cast<uint32_t>(li + 1), id(),
-                        "std::function on the simulator hot path — use "
-                        "sim::SmallCallback (no heap-allocating type "
+                        "std::function on the simulator hot path — take "
+                        "the callable as a template parameter or a "
+                        "function pointer (no heap-allocating type "
                         "erasure in src/sim or src/ssd)"});
                 pos += token.size();
             }
@@ -578,7 +579,7 @@ class HeapAllocRule : public Rule
         // allocating vocabulary (`new`, std::make_unique/make_shared)
         // in that core so a convenience allocation cannot creep back
         // onto the hot path. Placement new (`new (`) stays legal —
-        // sim::SmallCallback constructs into inline storage — and a
+        // it constructs into storage the caller already owns — and a
         // deliberate cold-path allocation can carry a reasoned allow
         // marker for this rule.
         static const std::array<const char *, 3> kHotFiles = {

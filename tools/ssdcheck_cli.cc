@@ -44,9 +44,7 @@
  *       --listen PORT serves live telemetry (GET /metrics /runz
  *       /healthz) from immutable snapshots published every
  *       --publish-every requests and at checkpoints — attaching it is
- *       bit-identical to running without. --profile-stages attributes
- *       wall-ns/request to simulator stages (wb gc nand model trace
- *       policy) and prints the attribution table.
+ *       bit-identical to running without.
  *
  *   ssdcheck faults
  *       List the fault-injection profiles.
@@ -65,17 +63,21 @@
  *       (default: all cores), write the BENCH_grid.json wall-clock
  *       report and, when --baseline is given, exit 4 if aggregate
  *       simulated-IOs/sec dropped more than --max-regress (default
- *       0.30) below the baseline file's value — the CI perf gate.
+ *       0.30, must be in [0, 1)) below the baseline file's value —
+ *       the CI perf gate. A baseline whose value is not a finite
+ *       positive number exits 2 before the grid runs.
  *
  * Any device-taking command accepts --faults <profile> to run the
  * device with injected faults behind the host-side resilient I/O
- * path; error counters are reported after the run. A numeric flag
+ * path; error counters are reported after the run. A flag the command
+ * does not take, a word that is no flag's value, and a numeric flag
  * whose value is not a number of the flag's type (trailing junk, a
- * sign on an unsigned count, out of range) exits 2.
+ * sign on an unsigned count, out of range) exit 2.
  *
  * Devices are the simulated presets; on a real system the same code
  * would sit behind an ioctl-capable block device.
  */
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -85,10 +87,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "blockdev/resilient_device.h"
 #include "exit_codes.h"
@@ -99,12 +103,10 @@
 #include "obs/exporter/http_server.h"
 #include "obs/exporter/telemetry.h"
 #include "obs/sink.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace_binary.h"
 #include "obs/trace_stats.h"
 #include "perf/grid.h"
 #include "perf/thread_pool.h"
-#include "perf/wall_clock.h"
 #include "recovery/invariants.h"
 #include "recovery/shard.h"
 #include "recovery/snapshot.h"
@@ -119,16 +121,16 @@ using namespace ssdcheck;
 
 namespace {
 
-/** A numeric flag whose value does not parse (main() exits 2). */
+/** A flag or word the command does not take, or a numeric flag whose
+ *  value does not parse (main() exits 2). */
 struct BadFlag
 {
     std::string message;
 };
 
-/** argv parsed into --key value pairs + positionals. */
+/** A command's flags parsed into --key value pairs. */
 struct Args
 {
-    std::string command;
     std::map<std::string, std::string> options;
     bool has(const std::string &k) const { return options.count(k) > 0; }
     std::string get(const std::string &k, const std::string &dflt) const
@@ -162,26 +164,53 @@ struct Args
     }
 };
 
+/** One subcommand: its body and the only flags it accepts. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::vector<std::string> valued;   ///< --flag VALUE or --flag=VALUE
+    std::vector<std::string> switches; ///< bare --flag
+};
+
+bool
+contains(const std::vector<std::string> &names, const std::string &n)
+{
+    return std::find(names.begin(), names.end(), n) != names.end();
+}
+
+/**
+ * Parse argv[2..] for @p cmd.
+ * @throws BadFlag on a flag @p cmd does not take, a value given to a
+ *         switch, or a word that is no flag's value.
+ */
 Args
-parse(int argc, char **argv)
+parse(const Command &cmd, int argc, char **argv)
 {
     Args a;
-    if (argc >= 2)
-        a.command = argv[1];
     for (int i = 2; i < argc; ++i) {
         std::string key = argv[i];
         if (key.rfind("--", 0) != 0)
-            continue;
+            throw BadFlag{"unexpected argument '" + key + "' for " +
+                          cmd.name};
         key = key.substr(2);
         // Both spellings: `--format json` and `--format=json`.
         const size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-            a.options[key.substr(0, eq)] = key.substr(eq + 1);
+        const std::string name = key.substr(0, eq);
+        if (contains(cmd.switches, name)) {
+            if (eq != std::string::npos)
+                throw BadFlag{"--" + name + " takes no value"};
+            a.options[name] = "";
+        } else if (!contains(cmd.valued, name)) {
+            throw BadFlag{"unknown flag --" + name + " for " + cmd.name +
+                          " (see ssdcheck help)"};
+        } else if (eq != std::string::npos) {
+            a.options[name] = key.substr(eq + 1);
         } else if (i + 1 < argc &&
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            a.options[key] = argv[++i];
+            a.options[name] = argv[++i];
         } else {
-            a.options[key] = "";
+            a.options[name] = "";
         }
     }
     return a;
@@ -324,28 +353,6 @@ runStatusOf(const recovery::Shard &run, const char *phase,
     return st;
 }
 
-/** Print the per-stage cost attribution table (--profile-stages). */
-void
-printStageReport(const obs::StageProfiler &prof)
-{
-    stats::printBanner(std::cout, "per-stage cost attribution");
-    stats::TablePrinter t;
-    t.header({"stage", "self wall", "calls", "ns/request"});
-    for (size_t i = 0; i < obs::kStageCount; ++i) {
-        const auto s = static_cast<obs::Stage>(i);
-        t.row({obs::stageName(s),
-               stats::TablePrinter::num(
-                   static_cast<double>(prof.selfNs(s)) / 1e6, 1) +
-                   "ms",
-               std::to_string(prof.calls(s)),
-               std::to_string(prof.nsPerRequest(s))});
-    }
-    t.print(std::cout);
-    std::printf("%llu requests, %.1fms attributed in total\n",
-                static_cast<unsigned long long>(prof.requests()),
-                static_cast<double>(prof.totalNs()) / 1e6);
-}
-
 int
 cmdFingerprint(const Args &args)
 {
@@ -482,66 +489,6 @@ cmdTraceConvert(const Args &args)
     return 0;
 }
 
-/**
- * The per-stage cost-attribution pass of `ssdcheck bench`: one serial
- * profiled replay of every workload on device A behind the guarded
- * policy stack (the full hot path: wb/gc/nand + model + policy +
- * trace-stage registry upkeep), mirroring the grid shard protocol so
- * ns/request is attributable to the same code the gate times.
- */
-bool
-profileStagePass(double scale, obs::StageProfiler *prof, std::string *err)
-{
-    auto dev = std::make_unique<ssd::SsdDevice>(
-        ssd::makePreset(ssd::SsdModel::A));
-    blockdev::ResilientDevice rdev(*dev);
-    resilience::ResiliencePolicy policy;
-    resilience::resiliencePolicyByName("guarded", &policy);
-    resilience::PolicyDevice pdev(rdev, policy);
-    core::DiagnosisRunner runner(*dev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    if (!fs.bufferModelUsable()) {
-        *err = "no usable buffer model on device A";
-        return false;
-    }
-    core::SsdCheck check(fs);
-    obs::Sink sink;
-    sink.stages = prof;
-    dev->attachObservability(sink);
-    rdev.attachObservability(sink);
-    pdev.attachObservability(sink);
-    check.attachObservability(sink);
-    sim::SimTime now = runner.now();
-    for (const auto w : workload::allSniaWorkloads()) {
-        const auto trace = workload::buildSniaTrace(
-            w, dev->capacityPages(), scale,
-            1000 + static_cast<uint64_t>(w));
-        sim::SimTime end = now;
-        (void)recovery::evaluatePredictionAccuracy(pdev, check, trace, now,
-                                                   &end, nullptr, &sink);
-        now = end + sim::milliseconds(100);
-    }
-    return true;
-}
-
-/** The "stage_ns" member of BENCH_grid.json (integers only). */
-std::string
-renderStageNsJson(const obs::StageProfiler &prof)
-{
-    std::ostringstream os;
-    os << "\"stage_ns\": {";
-    for (size_t i = 0; i < obs::kStageCount; ++i) {
-        const auto s = static_cast<obs::Stage>(i);
-        os << (i > 0 ? ", " : "") << "\"" << obs::stageName(s)
-           << "\": {\"self_ns\": " << prof.selfNs(s)
-           << ", \"calls\": " << prof.calls(s)
-           << ", \"ns_per_request\": " << prof.nsPerRequest(s) << "}";
-    }
-    os << ", \"requests\": " << prof.requests()
-       << ", \"total_ns\": " << prof.totalNs() << "}";
-    return os.str();
-}
-
 int
 cmdTraceStats(const Args &args)
 {
@@ -573,10 +520,26 @@ cmdBench(const Args &args)
     const double scale = args.num("scale", 0.03);
     const uint64_t seedCount = args.num<uint64_t>("seeds", 1);
     const double maxRegress = args.num("max-regress", 0.30);
-    const double maxStage = args.num("max-stage-regress", 3.0);
     if (seedCount == 0 || scale <= 0) {
         std::fprintf(stderr, "--seeds and --scale must be positive\n");
         return cli::kBadArgs;
+    }
+    // A regress fraction of 1 or more puts the floor at or below zero,
+    // where no measurement can fail the gate.
+    if (maxRegress < 0 || maxRegress >= 1) {
+        std::fprintf(stderr, "--max-regress must be in [0, 1)\n");
+        return cli::kBadArgs;
+    }
+    // Read the baseline before the grid runs: a bad one is bad args.
+    std::optional<double> baseline;
+    if (args.has("baseline")) {
+        const std::string basePath = args.get("baseline", "");
+        baseline = perf::readBaselineIosPerSec(basePath);
+        if (!baseline) {
+            std::fprintf(stderr, "cannot read baseline %s\n",
+                         basePath.c_str());
+            return cli::kBadArgs;
+        }
     }
 
     Telemetry tele;
@@ -596,16 +559,6 @@ cmdBench(const Args &args)
                 static_cast<unsigned long long>(seedCount), jobs, scale);
     const perf::GridResult grid = perf::runGrid(spec, jobs);
 
-    // Serial cost-attribution pass: which stage owns each wall-ns.
-    obs::StageProfiler profiler(&perf::wallNowNs);
-    std::string perr;
-    if (!profileStagePass(scale, &profiler, &perr)) {
-        std::fprintf(stderr, "stage profile pass failed: %s\n",
-                     perr.c_str());
-        return cli::kBadArgs;
-    }
-    printStageReport(profiler);
-
     stats::TablePrinter t;
     t.header({"shard", "requests", "wall", "IOs/s"});
     for (const auto &task : grid.timing.tasks)
@@ -620,21 +573,13 @@ cmdBench(const Args &args)
                 grid.timing.iosPerSec());
 
     const std::string out = args.get("out", "BENCH_grid.json");
-    if (!perf::writeBenchGridJson(out, "cli_bench_grid", grid.timing,
-                                  renderStageNsJson(profiler))) {
+    if (!perf::writeBenchGridJson(out, "cli_bench_grid", grid.timing)) {
         std::fprintf(stderr, "cannot write %s\n", out.c_str());
         return cli::kBadArgs;
     }
     std::printf("wrote %s\n", out.c_str());
 
-    if (args.has("baseline")) {
-        const std::string basePath = args.get("baseline", "");
-        const auto baseline = perf::readBaselineIosPerSec(basePath);
-        if (!baseline) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         basePath.c_str());
-            return cli::kBadArgs;
-        }
+    if (baseline) {
         const double floor = *baseline * (1.0 - maxRegress);
         const double measured = grid.timing.iosPerSec();
         if (measured < floor) {
@@ -658,48 +603,6 @@ cmdBench(const Args &args)
                 "baseline %.0f — re-baseline bench/baseline.json so "
                 "the regression floor keeps its teeth\n",
                 measured, maxRegress * 100, *baseline);
-
-        // Per-stage two-sided gate: the aggregate gate says *that*
-        // throughput regressed, this one says *which* stage did.
-        // Per-stage wall-ns is noisier than the aggregate, so the
-        // allowed band is deliberately generous (default 3x each
-        // way); the high side fails, the low side only warns that
-        // the baseline has gone stale — like the aggregate gate.
-        bool stageFail = false;
-        for (size_t i = 0; i < obs::kStageCount; ++i) {
-            const auto s = static_cast<obs::Stage>(i);
-            const auto base =
-                perf::readBaselineStageNs(basePath, obs::stageName(s));
-            if (!base || *base <= 0)
-                continue; // absent/zero entry: nothing to gate against
-            const auto stageNs =
-                static_cast<double>(profiler.nsPerRequest(s));
-            const double stageCeil =
-                static_cast<double>(*base) * (1.0 + maxStage);
-            if (stageNs > stageCeil) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: stage '%s' costs %.0f ns/request, over the "
-                    "%.0f ceiling (baseline %lld, max regress "
-                    "%.0f%%)\n",
-                    obs::stageName(s), stageNs, stageCeil,
-                    static_cast<long long>(*base), maxStage * 100);
-                stageFail = true;
-            } else if (stageNs * (1.0 + maxStage) <
-                       static_cast<double>(*base)) {
-                std::printf(
-                    "WARN: stage '%s' costs %.0f ns/request, far below "
-                    "the baseline %lld — re-baseline "
-                    "bench/baseline.json so the stage gate keeps its "
-                    "teeth\n",
-                    obs::stageName(s), stageNs,
-                    static_cast<long long>(*base));
-            }
-        }
-        if (stageFail)
-            return cli::kPerfGate;
-        std::printf("stage gate OK (max regress %.0f%% per stage)\n",
-                    maxStage * 100);
     }
     return 0;
 }
@@ -809,14 +712,10 @@ cmdRun(const Args &args)
     int rc = cli::kOk;
     if (!startTelemetry(args, &tele, &rc))
         return rc;
-    std::unique_ptr<obs::StageProfiler> profiler;
-    if (args.has("profile-stages"))
-        profiler =
-            std::make_unique<obs::StageProfiler>(&perf::wallNowNs);
     obs::TraceRecorder recorder;
     obs::AuditLog audit;
     const obs::Sink sink{wantTrace ? &recorder : nullptr, nullptr,
-                         wantAudit ? &audit : nullptr, profiler.get()};
+                         wantAudit ? &audit : nullptr};
 
     std::string err;
     auto run = recovery::createRun(params, resuming, &err, &sink);
@@ -937,8 +836,6 @@ cmdRun(const Args &args)
         std::printf("%s", audit.analyze().format().c_str());
     }
     printFaultReport(run->device(), run->resilient());
-    if (profiler)
-        printStageReport(*profiler);
 
     if (args.has("check-invariants")) {
         const auto violations = recovery::checkInvariants(*run);
@@ -1060,7 +957,7 @@ cmdChaos(const Args &args)
 }
 
 int
-cmdFaults()
+cmdFaults(const Args &)
 {
     stats::TablePrinter t;
     t.header({"profile", "unc-read", "prog-fail", "erase-fail", "stall",
@@ -1102,14 +999,12 @@ usage(int rc)
         " [--check-invariants]\n"
         "             [--kill-after-requests N] [--kill-in-checkpoint]\n"
         "             [--listen PORT] [--stale-ms N] [--publish-every N]\n"
-        "             [--profile-stages]\n"
         "  chaos      --scenario FILE [--jobs N] [--verify]"
         " [--listen PORT]\n"
         "  faults\n"
         "  bench      [--jobs N] [--scale F] [--seeds K] [--out FILE]\n"
         "             [--baseline FILE] [--max-regress F]"
-        " [--max-stage-regress F]\n"
-        "             [--listen PORT]\n"
+        " [--listen PORT]\n"
         "  help\n"
         "workloads: TPCE Homes Web Exch Live Build 'RW Mixed'\n"
         "fault profiles: none flaky-reads wearout stalls drift storms"
@@ -1120,30 +1015,42 @@ usage(int rc)
     return rc;
 }
 
+/** Every subcommand with the flags it reads. --hang-after-requests,
+ *  --kill-after-requests and --kill-in-checkpoint are the chaos hooks
+ *  tools/soak drives. */
+const std::vector<Command> kCommands = {
+    {"fingerprint", cmdFingerprint, {"device", "faults"}, {"all"}},
+    {"synth", cmdSynth, {"workload", "out", "scale", "span"}, {}},
+    {"replay", cmdReplay, {"device", "trace", "faults"}, {}},
+    {"trace-convert", cmdTraceConvert, {"in", "out"}, {}},
+    {"trace-stats", cmdTraceStats, {"in", "format", "top"}, {}},
+    {"run",
+     cmdRun,
+     {"device", "faults", "workload", "scale", "resilience", "timeline-ms",
+      "metrics-out", "trace-out", "binary-out", "audit-out",
+      "min-recovered-accuracy", "checkpoint-every", "checkpoint-out",
+      "resume", "final-state-out", "listen", "stale-ms", "publish-every",
+      "hang-after-requests", "kill-after-requests"},
+     {"supervisor", "force", "check-invariants", "kill-in-checkpoint"}},
+    {"chaos", cmdChaos, {"scenario", "jobs", "listen", "stale-ms"},
+     {"verify"}},
+    {"faults", cmdFaults, {}, {}},
+    {"bench",
+     cmdBench,
+     {"jobs", "scale", "seeds", "out", "baseline", "max-regress", "listen",
+      "stale-ms"},
+     {}},
+};
+
 int
-dispatch(const Args &args)
+dispatch(int argc, char **argv)
 {
-    if (args.command == "fingerprint")
-        return cmdFingerprint(args);
-    if (args.command == "synth")
-        return cmdSynth(args);
-    if (args.command == "replay")
-        return cmdReplay(args);
-    if (args.command == "trace-convert")
-        return cmdTraceConvert(args);
-    if (args.command == "trace-stats")
-        return cmdTraceStats(args);
-    if (args.command == "run")
-        return cmdRun(args);
-    if (args.command == "chaos")
-        return cmdChaos(args);
-    if (args.command == "bench")
-        return cmdBench(args);
-    if (args.command == "faults")
-        return cmdFaults();
-    if (args.command == "help" || args.command == "--help" ||
-        args.command == "-h")
+    const std::string name = argc >= 2 ? argv[1] : "";
+    if (name == "help" || name == "--help" || name == "-h")
         return usage(cli::kOk);
+    for (const Command &cmd : kCommands)
+        if (name == cmd.name)
+            return cmd.run(parse(cmd, argc, argv));
     return usage(cli::kUsage);
 }
 
@@ -1153,7 +1060,7 @@ int
 main(int argc, char **argv)
 {
     try {
-        return dispatch(parse(argc, argv));
+        return dispatch(argc, argv);
     } catch (const BadFlag &e) {
         std::fprintf(stderr, "%s\n", e.message.c_str());
         return cli::kBadArgs;
