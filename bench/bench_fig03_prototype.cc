@@ -17,8 +17,8 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <queue>
 
+#include "blockdev/inflight_window.h"
 #include "stats/latency_recorder.h"
 #include "stats/timeline.h"
 #include "workload/synthetic.h"
@@ -91,16 +91,12 @@ runVariant(ssd::PrototypeVariant v)
     // Throughput run: saturated QD16.
     const auto tputTrace =
         workload::buildRandomWriteTrace(60000, dev.capacityPages(), 11);
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
+    blockdev::InflightWindow window(16);
     const sim::SimTime start = t;
     for (const auto &rec : tputTrace.records()) {
-        if (inflight.size() >= 16) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
+        t = window.admit(t);
         const auto res = dev.submit(rec.req, t);
-        inflight.push(res.completeTime);
+        window.push(res.completeTime);
         out.timeline.add(res.completeTime - start, rec.req.bytes());
     }
     return out;

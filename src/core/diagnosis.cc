@@ -4,8 +4,8 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <queue>
 
+#include "blockdev/inflight_window.h"
 #include "stats/chi_squared.h"
 #include "stats/histogram.h"
 #include "workload/pattern.h"
@@ -43,6 +43,26 @@ cleanSample(const blockdev::IoResult &res)
     return res.ok() && res.attempts == 1;
 }
 
+/**
+ * @p n 4KB writes to @p pat's addresses at queue depth @p qd from
+ * @p start. @return the clock after the last completion. Templated on
+ * the concrete pattern so nextLba() can be devirtualized.
+ */
+template <typename Pattern>
+sim::SimTime
+driveWrites(blockdev::BlockDevice &dev, Pattern &pat, sim::Rng &rng,
+            uint64_t n, uint32_t qd, sim::SimTime start)
+{
+    blockdev::InflightWindow window(qd);
+    sim::SimTime t = start;
+    for (uint64_t i = 0; i < n; ++i) {
+        t = window.admit(t);
+        const IoRequest req{IoType::Write, pat.nextLba(rng), kSectorsPerPage};
+        window.push(dev.submit(req, t).completeTime);
+    }
+    return window.drain(t);
+}
+
 } // namespace
 
 DiagnosisRunner::DiagnosisRunner(blockdev::BlockDevice &dev,
@@ -73,36 +93,13 @@ DiagnosisRunner::precondition()
 
     // SNIA-style: sequential fill, then random churn to fragment
     // blocks so GC reaches its steady state.
-    auto drive = [&](workload::AddressPattern &pat, uint64_t n) {
-        std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                            std::greater<>> inflight;
-        sim::SimTime t = now_;
-        for (uint64_t i = 0; i < n; ++i) {
-            if (inflight.size() >= 32) {
-                t = std::max(t, inflight.top());
-                inflight.pop();
-            }
-            IoRequest req;
-            req.type = IoType::Write;
-            req.lba = pat.nextLba(rng);
-            req.sectors = kSectorsPerPage;
-            const auto res = dev_.submit(req, t);
-            inflight.push(res.completeTime);
-        }
-        while (!inflight.empty()) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
-        now_ = t + kSettle;
-    };
-
     workload::SequentialPattern seq(0, pages);
-    drive(seq, pages);
+    now_ = driveWrites(dev_, seq, rng, pages, 32, now_) + kSettle;
     // GC's steady state (victim valid-page distribution) converges
     // only after substantially more than one capacity of random
     // overwrites.
     workload::UniformPattern rnd(pages);
-    drive(rnd, (pages * 3) / 4);
+    now_ = driveWrites(dev_, rnd, rng, (pages * 3) / 4, 32, now_) + kSettle;
 }
 
 void
@@ -112,96 +109,7 @@ DiagnosisRunner::sequentialFill()
     const uint64_t pages = dev_.capacityPages();
     sim::Rng rng = rng_.fork(0x5e0f);
     workload::SequentialPattern seq(0, pages);
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
-    sim::SimTime t = now_;
-    for (uint64_t i = 0; i < pages; ++i) {
-        if (inflight.size() >= 32) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
-        IoRequest req;
-        req.type = IoType::Write;
-        req.lba = seq.nextLba(rng);
-        req.sectors = kSectorsPerPage;
-        const auto res = dev_.submit(req, t);
-        inflight.push(res.completeTime);
-    }
-    while (!inflight.empty()) {
-        t = std::max(t, inflight.top());
-        inflight.pop();
-    }
-    now_ = t + kSettle;
-}
-
-void
-DiagnosisRunner::remixChurn()
-{
-    // Uniform random overwrites restore the device's uniform
-    // valid-page distribution after a biased (bit-pinned) test, so
-    // per-bit throughput runs all start from the same GC regime.
-    const uint64_t pages = dev_.capacityPages();
-    sim::Rng rng = rng_.fork(0x4e41);
-    workload::UniformPattern rnd(pages);
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
-    sim::SimTime t = now_;
-    for (uint64_t i = 0; i < pages / 4; ++i) {
-        if (inflight.size() >= 32) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
-        IoRequest req;
-        req.type = IoType::Write;
-        req.lba = rnd.nextLba(rng);
-        req.sectors = kSectorsPerPage;
-        const auto res = dev_.submit(req, t);
-        inflight.push(res.completeTime);
-    }
-    while (!inflight.empty()) {
-        t = std::max(t, inflight.top());
-        inflight.pop();
-    }
-    now_ = t + kSettle;
-}
-
-DiagnosisRunner::ThroughputResult
-DiagnosisRunner::measureWriteThroughput(uint32_t pinnedBit, bool pinned)
-{
-    const uint64_t pages = dev_.capacityPages();
-    std::unique_ptr<workload::AddressPattern> pat;
-    if (pinned)
-        pat = std::make_unique<workload::BitFixedPattern>(pages, pinnedBit,
-                                                          false);
-    else
-        pat = std::make_unique<workload::UniformPattern>(pages);
-
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
-    const sim::SimTime start = now_;
-    sim::SimTime t = start;
-    sim::SimTime lastComplete = start;
-    for (uint32_t i = 0; i < cfg_.allocScanRequests; ++i) {
-        if (inflight.size() >= cfg_.allocScanQueueDepth) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
-        IoRequest req;
-        req.type = IoType::Write;
-        req.lba = pat->nextLba(rng_);
-        req.sectors = kSectorsPerPage;
-        const auto res = dev_.submit(req, t);
-        inflight.push(res.completeTime);
-        lastComplete = std::max(lastComplete, res.completeTime);
-    }
-    now_ = lastComplete + kSettle;
-
-    ThroughputResult out;
-    out.elapsed = lastComplete - start;
-    const double bytes = static_cast<double>(cfg_.allocScanRequests) *
-                         blockdev::kPageSize;
-    out.mbps = bytes / 1e6 / sim::toSeconds(out.elapsed);
-    return out;
+    now_ = driveWrites(dev_, seq, rng, pages, 32, now_) + kSettle;
 }
 
 AllocVolumeScan
@@ -212,15 +120,25 @@ DiagnosisRunner::scanAllocationVolumes()
     // freshly purged device (the paper notes SSDs rarely invoke GC
     // without preconditioning). Each run is far smaller than the
     // free pool, so flush bandwidth is the only bottleneck.
-    AllocVolumeScan scan;
-    if (cfg_.precondition)
-        dev_.purge(now_);
-    scan.baselineMbps = measureWriteThroughput(0, false).mbps;
-    const uint32_t top = highestScanBit();
-    for (uint32_t bit = 3; bit <= top; ++bit) {
+    auto writeMbps = [this](auto &&pat) {
         if (cfg_.precondition)
             dev_.purge(now_);
-        const double mbps = measureWriteThroughput(bit, true).mbps;
+        const sim::SimTime start = now_;
+        const sim::SimTime end =
+            driveWrites(dev_, pat, rng_, cfg_.allocScanRequests,
+                        cfg_.allocScanQueueDepth, start);
+        now_ = end + kSettle;
+        const double bytes = static_cast<double>(cfg_.allocScanRequests) *
+                             blockdev::kPageSize;
+        return bytes / 1e6 / sim::toSeconds(end - start);
+    };
+    AllocVolumeScan scan;
+    const uint64_t pages = dev_.capacityPages();
+    scan.baselineMbps = writeMbps(workload::UniformPattern(pages));
+    const uint32_t top = highestScanBit();
+    for (uint32_t bit = 3; bit <= top; ++bit) {
+        const double mbps =
+            writeMbps(workload::BitFixedPattern(pages, bit, false));
         scan.perBitMbps.emplace_back(bit, mbps);
         if (mbps < scan.baselineMbps * cfg_.allocDropRatio)
             scan.volumeBits.push_back(bit);

@@ -137,9 +137,6 @@ class DiagnosisRunner
     /** Purge + sequential fill + random churn (SNIA-style). */
     void precondition();
 
-    /** Uniform random churn to reset the GC regime between tests. */
-    void remixChurn();
-
     /** Purge then write every page once sequentially (no churn). */
     void sequentialFill();
 
@@ -160,16 +157,6 @@ class DiagnosisRunner
 
   private:
     // -- small closed-loop drivers ---------------------------------------
-    struct ThroughputResult
-    {
-        double mbps;
-        sim::SimDuration elapsed;
-    };
-
-    /** Random 4KB writes at a queue depth; returns write throughput. */
-    ThroughputResult measureWriteThroughput(uint32_t pinnedBit,
-                                            bool pinned);
-
     /** QD1 write stream; returns per-write latencies. */
     std::vector<uint32_t> collectGcIntervals(uint64_t lbaA, int flipBit);
 

@@ -19,27 +19,8 @@ const std::vector<int64_t> kHostLatencyBounds = {
     50'000,     100'000,    250'000,    500'000,    1'000'000,
     2'500'000,  5'000'000,  10'000'000, 25'000'000, 100'000'000};
 
-/** The layers one request passes through (null = layer absent). */
-struct RequestPath
-{
-    blockdev::BlockDevice &dev; ///< Submit target without a policy layer.
-    resilience::PolicyDevice *policy;
-    core::SsdCheck *check;
-    core::HealthSupervisor *sup;
-    obs::TraceRecorder *spans;
-    obs::Registry *metrics;
-    obs::Histogram hostLatency;
-};
+} // namespace
 
-/**
- * The QD1 per-request body: Shard::step() and
- * evaluatePredictionAccuracy() are both loops over it.
- * @param arrival the request's arrival time (the clock floor).
- * @param closed closed pacing: the clock advances to the completion.
- * @param t the host clock.
- * @param lastOk latency of the last ok completion: the hedge hint
- *        when there is no model.
- */
 blockdev::IoResult
 replayRequest(RequestPath &p, const blockdev::IoRequest &req,
               sim::SimTime arrival, bool closed, sim::SimTime &t,
@@ -105,6 +86,8 @@ replayRequest(RequestPath &p, const blockdev::IoRequest &req,
         t = res.completeTime;
     return res;
 }
+
+namespace {
 
 /** Name the trace tracks a replay writes to. */
 void

@@ -46,6 +46,33 @@ enum class Pacing : uint8_t
     Closed = 1, ///< Next request waits for the previous completion.
 };
 
+/** The layers one request passes through (null = layer absent). */
+struct RequestPath
+{
+    blockdev::BlockDevice &dev; ///< Submit target without a policy layer.
+    resilience::PolicyDevice *policy;
+    core::SsdCheck *check;
+    core::HealthSupervisor *sup;
+    obs::TraceRecorder *spans;
+    obs::Registry *metrics;
+    obs::Histogram hostLatency;
+};
+
+/**
+ * The host's one per-request body: Shard::step(),
+ * evaluatePredictionAccuracy() and usecases::runScheduled() all
+ * dispatch through it.
+ * @param arrival the request's arrival time (the clock floor).
+ * @param closed closed pacing: the clock advances to the completion.
+ * @param t the host clock.
+ * @param lastOk latency of the last ok completion: the hedge hint
+ *        when there is no model.
+ */
+[[nodiscard]] blockdev::IoResult
+replayRequest(RequestPath &p, const blockdev::IoRequest &req,
+              sim::SimTime arrival, bool closed, sim::SimTime &t,
+              sim::SimDuration &lastOk, core::AccuracyResult &acc);
+
 /** Everything that shapes one shard's deterministic evolution. */
 struct ShardSpec
 {

@@ -24,8 +24,11 @@ HybridTier::name() const
 }
 
 blockdev::IoResult
-HybridTier::ssdWrite(const blockdev::IoRequest &req, sim::SimTime now)
+HybridTier::ssdSubmit(const blockdev::IoRequest &req, sim::SimTime now)
 {
+    // The model is fed here, not by the host loop: only the tier knows
+    // which requests reach the SSD, and NVM-served requests must not
+    // train the SSD's model.
     core::Prediction pred;
     if (check_ != nullptr) {
         pred = check_->predict(req, now);
@@ -33,7 +36,7 @@ HybridTier::ssdWrite(const blockdev::IoRequest &req, sim::SimTime now)
     }
     const auto res = ssd_.submit(req, now);
     if (check_ != nullptr)
-        check_->onComplete(req, pred, now, res.completeTime);
+        check_->onComplete(req, pred, res);
     return res;
 }
 
@@ -51,8 +54,8 @@ HybridTier::drainUpTo(sim::SimTime now)
         const auto pages = nvm_.takeDirty(cfg_.drainBatchPages);
         sim::SimTime batchDone = nextDrain_;
         for (const uint64_t page : pages) {
-            const auto res = ssdWrite(blockdev::makeWrite4k(page),
-                                      nextDrain_);
+            const auto res =
+                ssdSubmit(blockdev::makeWrite4k(page), nextDrain_);
             batchDone = std::max(batchDone, res.completeTime);
         }
         // The background thread is closed-loop: it waits for its
@@ -71,33 +74,16 @@ HybridTier::submit(const blockdev::IoRequest &req, sim::SimTime now)
         // Serve from the NVM when it holds the newest copy.
         if (nvm_.holds(req.firstPage()))
             return nvm_.submit(req, now);
-        // Keep the prediction model fed with the reads it does see.
-        core::Prediction pred;
-        if (check_ != nullptr) {
-            pred = check_->predict(req, now);
-            check_->onSubmit(req, now);
-        }
-        const auto res = ssd_.submit(req, now);
-        if (check_ != nullptr)
-            check_->onComplete(req, pred, now, res.completeTime);
-        return res;
+        return ssdSubmit(req, now);
     }
     if (req.type == blockdev::IoType::Trim)
         return ssd_.submit(req, now);
 
-    // Write routing.
-    bool toNvm;
-    if (mode_ == HybridMode::Baseline) {
-        toNvm = !nvm_.full();
-    } else {
-        const core::Prediction pred = check_->predict(req, now);
-        if (pred.hl)
-            toNvm = !nvm_.full();
-        else
-            toNvm = !nvm_.full() && rng_.bernoulli(cfg_.bufferWeight);
-    }
-
-    if (toNvm)
+    // Write routing: while the NVM has room, Baseline sends it every
+    // write and Hybrid PAS the HL-predicted ones plus a W share of NL.
+    if (!nvm_.full() &&
+        (mode_ == HybridMode::Baseline || check_->predict(req, now).hl ||
+         rng_.bernoulli(cfg_.bufferWeight)))
         return nvm_.submit(req, now);
     if (nvm_.full())
         ++backpressureWrites_;
@@ -106,7 +92,7 @@ HybridTier::submit(const blockdev::IoRequest &req, sim::SimTime now)
     // never be drained over it.
     for (uint32_t p = 0; p < req.pages(); ++p)
         nvm_.invalidate(req.firstPage() + p);
-    return ssdWrite(req, now);
+    return ssdSubmit(req, now);
 }
 
 void

@@ -90,9 +90,9 @@ class HybridTier : public blockdev::BlockDevice
     /** Run background drain ticks scheduled before @p now. */
     void drainUpTo(sim::SimTime now);
 
-    /** Submit a write to the SSD, keeping the model in sync. */
-    blockdev::IoResult ssdWrite(const blockdev::IoRequest &req,
-                                sim::SimTime now);
+    /** Submit a request to the SSD, keeping the model in sync. */
+    blockdev::IoResult ssdSubmit(const blockdev::IoRequest &req,
+                                 sim::SimTime now);
 
     ssd::SsdDevice &ssd_;
     nvm::NvmDevice &nvm_;

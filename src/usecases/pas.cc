@@ -8,18 +8,18 @@ namespace {
 
 /**
  * First read in queue order within the reorder window (up to and not
- * across the first barrier), or nullptr.
+ * across the first barrier), or end().
  */
-const QueuedRequest *
-oldestRead(const std::deque<QueuedRequest> &q)
+std::deque<QueuedRequest>::iterator
+oldestRead(std::deque<QueuedRequest> &q)
 {
-    for (const auto &qr : q) {
-        if (qr.req.isRead())
-            return &qr;
-        if (qr.barrier)
-            return nullptr; // cannot pull a read across a barrier
+    for (auto it = q.begin(); it != q.end(); ++it) {
+        if (it->req.isRead())
+            return it;
+        if (it->barrier)
+            break; // cannot pull a read across a barrier
     }
-    return nullptr;
+    return q.end();
 }
 
 /** True when the queue holds both reads and writes. */
@@ -36,129 +36,80 @@ mixed(const std::deque<QueuedRequest> &q)
     return false;
 }
 
-/** Pop the first read inside the reorder window (must exist). */
-QueuedRequest
-takeOldestRead(std::deque<QueuedRequest> &q)
-{
-    for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->req.isRead()) {
-            QueuedRequest qr = *it;
-            q.erase(it);
-            return qr;
-        }
-        assert(!it->barrier && "caller checked the reorder window");
-    }
-    assert(false && "no read in queue");
-    return {};
-}
-
 } // namespace
 
-PasScheduler::PasScheduler(const core::SsdCheck &check) : check_(check) {}
-
 void
-PasScheduler::enqueue(const QueuedRequest &qr)
+PasQueue::enqueue(const QueuedRequest &qr)
 {
     q_.push_back(qr);
 }
 
+QueuedRequest
+PasQueue::dequeue(sim::SimTime now)
+{
+    assert(!q_.empty());
+    auto pick = q_.begin();
+    if (mixed(q_) && !q_.front().req.isRead()) {
+        const auto read = oldestRead(q_);
+        if (read != q_.end() && oldestReadWouldBeSlow(*read, now))
+            pick = read;
+    }
+    const QueuedRequest qr = *pick;
+    q_.erase(pick);
+    return qr;
+}
+
+PasScheduler::PasScheduler(const core::SsdCheck &check) : check_(check) {}
+
 bool
-PasScheduler::oldestReadWouldBeSlow(sim::SimTime now) const
+PasScheduler::oldestReadWouldBeSlow(const QueuedRequest &read,
+                                    sim::SimTime now) const
 {
     const core::PredictionEngine *engine = check_.engine();
     if (engine == nullptr || !check_.enabled())
         return false;
-    const QueuedRequest *r = oldestRead(q_);
-    if (r == nullptr)
-        return false;
 
     // Current-state prediction covers an already-busy volume and a
     // read-trigger flush on the current buffer contents.
-    if (check_.predict(r->req, now).hl)
+    if (check_.predict(read.req, now).hl)
         return true;
 
     // "Based on the original order": account the writes queued ahead
     // of the read into the modeled buffer counter.
-    const uint32_t vol = engine->volumeOf(r->req);
-    uint32_t pagesAhead = 0;
-    for (const auto &qr : q_) {
-        if (&qr == r)
-            break;
-        if (qr.req.isWrite() && engine->volumeOf(qr.req) == vol)
-            pagesAhead += qr.req.pages();
-    }
+    const uint32_t vol = engine->volumeOf(read.req);
     const core::WriteBufferModel &wb = engine->wbModel(vol);
-    const uint32_t hypothetical = wb.counter() + pagesAhead;
+    const uint32_t hypothetical =
+        wb.counter() +
+        writePagesAhead(read, vol, [engine](const blockdev::IoRequest &r) {
+            return engine->volumeOf(r);
+        });
     if (check_.features().flushAlgorithms.readTrigger)
         return hypothetical > 0; // any buffered page flushes on the read
     return hypothetical >= wb.size(); // a flush will land before the read
-}
-
-QueuedRequest
-PasScheduler::dequeue(sim::SimTime now)
-{
-    assert(!q_.empty());
-    if (!mixed(q_) || q_.front().req.isRead()) {
-        QueuedRequest qr = q_.front();
-        q_.pop_front();
-        return qr;
-    }
-    if (oldestReadWouldBeSlow(now))
-        return takeOldestRead(q_);
-    QueuedRequest qr = q_.front();
-    q_.pop_front();
-    return qr;
 }
 
 IdealPasScheduler::IdealPasScheduler(const ssd::SsdDevice &dev) : dev_(dev)
 {
 }
 
-void
-IdealPasScheduler::enqueue(const QueuedRequest &qr)
-{
-    q_.push_back(qr);
-}
-
 bool
-IdealPasScheduler::oldestReadWouldBeSlow(sim::SimTime now) const
+IdealPasScheduler::oldestReadWouldBeSlow(const QueuedRequest &read,
+                                         sim::SimTime now) const
 {
-    const QueuedRequest *r = oldestRead(q_);
-    if (r == nullptr)
-        return false;
     const ssd::SsdConfig &cfg = dev_.config();
-    const uint32_t vol = cfg.volumeOf(r->req.lba);
+    const uint32_t vol = cfg.volumeOf(read.req.lba);
     const ssd::Volume &v = dev_.volume(vol);
 
     if (v.nandBusyUntil() > now)
         return true; // the read would wait on an active flush/GC
-    uint32_t pagesAhead = 0;
-    for (const auto &qr : q_) {
-        if (&qr == r)
-            break;
-        if (qr.req.isWrite() && cfg.volumeOf(qr.req.lba) == vol)
-            pagesAhead += qr.req.pages();
-    }
-    const uint32_t hypothetical = v.bufferFill() + pagesAhead;
+    const uint32_t hypothetical =
+        v.bufferFill() +
+        writePagesAhead(read, vol, [&cfg](const blockdev::IoRequest &r) {
+            return cfg.volumeOf(r.lba);
+        });
     if (cfg.readTriggerFlush)
         return hypothetical > 0;
     return hypothetical >= cfg.bufferPages();
-}
-
-QueuedRequest
-IdealPasScheduler::dequeue(sim::SimTime now)
-{
-    assert(!q_.empty());
-    if (!mixed(q_) || q_.front().req.isRead()) {
-        QueuedRequest qr = q_.front();
-        q_.pop_front();
-        return qr;
-    }
-    if (oldestReadWouldBeSlow(now))
-        return takeOldestRead(q_);
-    QueuedRequest qr = q_.front();
-    q_.pop_front();
-    return qr;
 }
 
 } // namespace ssdcheck::usecases

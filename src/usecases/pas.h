@@ -15,6 +15,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <string>
 
@@ -24,45 +25,72 @@
 
 namespace ssdcheck::usecases {
 
-/** SSD-only PAS (paper §IV-B). */
-class PasScheduler : public Scheduler
+/**
+ * The PAS queue and dispatch rule (Fig. 10); the two schedulers below
+ * differ only in the predictor that answers "would it be slow?".
+ */
+class PasQueue : public Scheduler
+{
+  public:
+    void enqueue(const QueuedRequest &qr) override;
+    bool empty() const override { return q_.empty(); }
+    size_t depth() const override { return q_.size(); }
+    QueuedRequest dequeue(sim::SimTime now) override;
+
+  protected:
+    /** Would @p read be HL if issued at @p now in original order? */
+    virtual bool oldestReadWouldBeSlow(const QueuedRequest &read,
+                                       sim::SimTime now) const = 0;
+
+    /** Write pages queued ahead of @p read on volume @p vol, with
+     *  @p volumeOf placing each request. */
+    template <typename VolumeOf>
+    uint32_t writePagesAhead(const QueuedRequest &read, uint32_t vol,
+                             VolumeOf volumeOf) const
+    {
+        uint32_t pages = 0;
+        for (const auto &qr : q_) {
+            if (&qr == &read)
+                break;
+            if (qr.req.isWrite() && volumeOf(qr.req) == vol)
+                pages += qr.req.pages();
+        }
+        return pages;
+    }
+
+  private:
+    std::deque<QueuedRequest> q_;
+};
+
+/** SSD-only PAS (paper §IV-B): SSDcheck's model is the predictor. */
+class PasScheduler : public PasQueue
 {
   public:
     /** @param check the SSDcheck instance driving this device. */
     explicit PasScheduler(const core::SsdCheck &check);
 
-    void enqueue(const QueuedRequest &qr) override;
-    bool empty() const override { return q_.empty(); }
-    size_t depth() const override { return q_.size(); }
-    QueuedRequest dequeue(sim::SimTime now) override;
     std::string name() const override { return "pas"; }
 
   private:
-    /** Would the oldest read be HL if issued in original order? */
-    bool oldestReadWouldBeSlow(sim::SimTime now) const;
+    bool oldestReadWouldBeSlow(const QueuedRequest &read,
+                               sim::SimTime now) const override;
 
     const core::SsdCheck &check_;
-    std::deque<QueuedRequest> q_;
 };
 
 /** PAS with a perfect (device ground truth) predictor. */
-class IdealPasScheduler : public Scheduler
+class IdealPasScheduler : public PasQueue
 {
   public:
     explicit IdealPasScheduler(const ssd::SsdDevice &dev);
 
-    void enqueue(const QueuedRequest &qr) override;
-    bool empty() const override { return q_.empty(); }
-    size_t depth() const override { return q_.size(); }
-    QueuedRequest dequeue(sim::SimTime now) override;
     std::string name() const override { return "ideal"; }
 
   private:
-    bool oldestReadWouldBeSlow(sim::SimTime now) const;
+    bool oldestReadWouldBeSlow(const QueuedRequest &read,
+                               sim::SimTime now) const override;
 
     const ssd::SsdDevice &dev_;
-    std::deque<QueuedRequest> q_;
 };
 
 } // namespace ssdcheck::usecases
-

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+
+#include "blockdev/inflight_window.h"
+#include "recovery/shard.h"
 
 namespace ssdcheck::usecases {
 
@@ -19,8 +21,7 @@ namespace {
 
 void
 record(StreamResult &out, const blockdev::IoRequest &req,
-       sim::SimTime issue, sim::SimTime baseline,
-       const blockdev::IoResult &res)
+       sim::SimTime baseline, const blockdev::IoResult &res)
 {
     const sim::SimTime complete = res.completeTime;
     const sim::SimDuration lat = complete - baseline;
@@ -34,7 +35,6 @@ record(StreamResult &out, const blockdev::IoRequest &req,
     out.timeline.add(complete - out.startTime, req.bytes());
     ++out.requests;
     out.bytes += req.bytes();
-    (void)issue;
 }
 
 } // namespace
@@ -44,26 +44,20 @@ runClosedLoop(blockdev::BlockDevice &dev, const workload::Trace &trace,
               uint32_t queueDepth, sim::SimDuration thinktime,
               sim::SimTime start)
 {
-    assert(queueDepth > 0);
     StreamResult out;
     out.name = trace.name();
     out.startTime = start;
 
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
+    blockdev::InflightWindow window(queueDepth);
     sim::SimTime t = start;
-    sim::SimTime lastComplete = start;
+    out.endTime = start;
     for (const auto &rec : trace.records()) {
-        if (inflight.size() >= queueDepth) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
-        }
+        t = window.admit(t);
         const auto res = dev.submit(rec.req, t);
-        record(out, rec.req, t, t, res);
-        inflight.push(res.completeTime + thinktime);
-        lastComplete = std::max(lastComplete, res.completeTime);
+        record(out, rec.req, t, res);
+        window.push(res.completeTime + thinktime);
+        out.endTime = std::max(out.endTime, res.completeTime);
     }
-    out.endTime = lastComplete;
     return out;
 }
 
@@ -109,7 +103,7 @@ runTenantsClosedLoop(const std::vector<TenantSpec> &tenants,
         const auto &rec =
             (*tenants[best].trace)[s.next % tenants[best].trace->size()];
         const auto res = tenants[best].dev->submit(rec.req, s.ready);
-        record(out[best], rec.req, s.ready, s.ready, res);
+        record(out[best], rec.req, s.ready, res);
         out[best].endTime = std::max(out[best].endTime, res.completeTime);
         s.ready = res.completeTime + tenants[best].thinktime;
         ++s.next;
@@ -120,11 +114,8 @@ runTenantsClosedLoop(const std::vector<TenantSpec> &tenants,
 ScheduledRunResult
 runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
              const workload::Trace &trace, sim::SimTime start,
-             core::SsdCheck *check, uint32_t dispatchWidth,
-             core::HealthSupervisor *supervisor)
+             core::SsdCheck *check, uint32_t dispatchWidth)
 {
-    assert(dispatchWidth > 0);
-    assert(supervisor == nullptr || check != nullptr);
     ScheduledRunResult out;
     out.schedulerName = sched.name();
     out.stream.name = trace.name();
@@ -134,9 +125,14 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
     size_t next = 0;
     uint64_t seq = 0;
     sim::SimTime t = start;
-    // Completion times of requests currently at the device.
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>> inflight;
+    blockdev::InflightWindow window(dispatchWidth);
+    // QD1 dispatch is closed: the next decision waits for the
+    // completion, so the window stays empty.
+    const bool closed = dispatchWidth == 1;
+    recovery::RequestPath path{dev,     nullptr, check, nullptr,
+                               nullptr, nullptr, {}};
+    sim::SimDuration lastOk = 0;
+    core::AccuracyResult acc;
 
     while (next < records.size() || !sched.empty()) {
         if (sched.empty()) {
@@ -158,37 +154,19 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
             continue;
 
         // Wait for a free dispatch slot.
-        if (inflight.size() >= dispatchWidth) {
-            t = std::max(t, inflight.top());
-            inflight.pop();
+        if (window.full()) {
+            t = window.admit(t);
             continue; // new arrivals may have landed meanwhile
         }
 
-        if (supervisor != nullptr)
-            t = supervisor->pump(t);
         const QueuedRequest qr = sched.dequeue(t);
-        core::Prediction pred;
-        if (check != nullptr) {
-            pred = check->predict(qr.req, t);
-            check->onSubmit(qr.req, t);
-        }
-        const auto res = dev.submit(qr.req, t);
-        inflight.push(res.completeTime);
-        if (check != nullptr) {
-            const bool actualHl =
-                check->onComplete(qr.req, pred, t, res.completeTime,
-                                  res.status, res.attempts);
-            if (supervisor != nullptr)
-                supervisor->onCompletion(qr.req, actualHl, res);
-        }
+        const auto res = recovery::replayRequest(path, qr.req, t, closed, t,
+                                                 lastOk, acc);
+        if (!closed)
+            window.push(res.completeTime);
         // Latency includes queueing: completion minus arrival.
-        record(out.stream, qr.req, t, qr.arrival, res);
+        record(out.stream, qr.req, qr.arrival, res);
         out.stream.endTime = std::max(out.stream.endTime, res.completeTime);
-        if (dispatchWidth == 1) {
-            // Classic QD1 dispatch: next decision at completion.
-            t = res.completeTime;
-            inflight.pop();
-        }
     }
     return out;
 }

@@ -9,9 +9,11 @@
  *    time order on (views of) one device; the multi-tenant VA-LVM
  *    experiments (Fig. 12).
  *  - runScheduled: open-loop arrival-timed replay through a Scheduler
- *    with QD1 dispatch; the PAS experiments (Figs. 13-14). When an
- *    SsdCheck instance is supplied it is kept in sync (onSubmit /
- *    onComplete) so prediction-aware schedulers stay calibrated.
+ *    with QD1 dispatch; the PAS experiments (Figs. 13-14). Requests
+ *    run through the Shard's per-request body (replayRequest), so a
+ *    supplied SsdCheck stays in sync and PAS stays calibrated.
+ *
+ * Queue depth and dispatch width are one blockdev::InflightWindow.
  */
 #pragma once
 
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "blockdev/block_device.h"
-#include "core/health_supervisor.h"
 #include "core/ssdcheck.h"
 #include "stats/latency_recorder.h"
 #include "stats/timeline.h"
@@ -93,16 +94,12 @@ struct ScheduledRunResult
  * @param check optional SSDcheck kept in sync with the issued stream.
  * @param dispatchWidth requests kept in flight at the device (the
  *        dispatcher's queue depth; 1 reproduces the paper setup).
- * @param supervisor optional health supervisor (requires @p check):
- *        pumped for probe I/O before each dispatch and fed every
- *        completion.
  */
 ScheduledRunResult runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
                                 const workload::Trace &trace,
                                 sim::SimTime start,
                                 core::SsdCheck *check = nullptr,
-                                uint32_t dispatchWidth = 1,
-                                core::HealthSupervisor *supervisor = nullptr);
+                                uint32_t dispatchWidth = 1);
 
 } // namespace ssdcheck::usecases
 

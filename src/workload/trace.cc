@@ -171,7 +171,7 @@ Trace::loadText(std::istream &is, size_t *errorLine)
         const char *lp = line.data();
         const char *const lend = lp + line.size();
         TraceRecord rec;
-        if (!parseField(lp, lend, &rec.arrival))
+        if (!parseField(lp, lend, &rec.arrival) || rec.arrival < 0)
             return fail();
         while (lp < lend && (*lp == ' ' || *lp == '\t'))
             ++lp;
@@ -195,6 +195,10 @@ Trace::loadText(std::istream &is, size_t *errorLine)
         if (!parseField(lp, lend, &rec.req.lba) ||
             !parseField(lp, lend, &rec.req.sectors))
             return fail();
+        while (lp < lend && (*lp == ' ' || *lp == '\t'))
+            ++lp;
+        if (lp < lend)
+            return fail(); // trailing junk after the sectors field
         if (!t.records_.empty() && rec.arrival < t.records_.back().arrival)
             return fail(); // arrivals must be monotone
         t.records_.push_back(rec);

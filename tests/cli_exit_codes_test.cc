@@ -185,6 +185,22 @@ TEST(CliExitCodes, MalformedChaosScenarioExitsBadArgs)
     std::remove(path.c_str());
 }
 
+TEST(CliExitCodes, MalformedTraceExitsBadArgs)
+{
+    const std::string path =
+        testing::TempDir() + "/cli_exit_codes_bad.trace";
+    {
+        std::ofstream f(path);
+        f << "# bad\n0 w 0 8\n0 w 8 8 junk\n";
+    }
+    std::string out;
+    EXPECT_EQ(runCli("replay --device A --trace " + path, &out),
+              cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("line 3"), std::string::npos) << out;
+    std::remove(path.c_str());
+}
+
 TEST(CliExitCodes, ChaosSloViolationExitsSloViolation)
 {
     // An impossible liveness floor forces the SLO-violation path.

@@ -3,8 +3,10 @@
 
 #include "core/ssdcheck.h"
 #include "nvm/nvm_device.h"
+#include "ssd/fault_injector.h"
 #include "ssd/ssd_device.h"
 #include "usecases/hybrid.h"
+#include "workload/synthetic.h"
 
 namespace ssdcheck::usecases {
 namespace {
@@ -182,6 +184,32 @@ TEST(HybridTierTest, SsdWriteInvalidatesStaleNvmCopy)
     const auto drained = nvm.takeDirty(10);
     for (const uint64_t p : drained)
         EXPECT_NE(p, 1u);
+}
+
+TEST(HybridTierTest, FailedSsdCompletionsDoNotTrainTheModel)
+{
+    // A failed SSD completion carries no service time: only the ok
+    // ones may reach the calibrator. Every SSD failure here is a hard
+    // UNC read, which the device counts.
+    ssd::SsdConfig c = ssdCfg();
+    ASSERT_TRUE(ssd::faultProfileByName("hostile", &c.faults));
+    ssd::SsdDevice ssd(c);
+    ssd.precondition();
+    nvm::NvmDevice nvm(nvmCfg(64));
+    core::SsdCheck check(features());
+    HybridTier tier(ssd, nvm, &check, HybridMode::HybridPas);
+    const auto trace = workload::buildRwMixedTrace(20000, 8192, 3);
+
+    const uint64_t observed0 = check.calibrator().observations();
+    const uint64_t served0 = ssd.requestsServed();
+    const uint64_t failed0 = ssd.faultCounters().readUncHard;
+    SimTime t;
+    for (const auto &rec : trace.records())
+        t = tier.submit(rec.req, t).completeTime;
+    const uint64_t failed = ssd.faultCounters().readUncHard - failed0;
+    ASSERT_GT(failed, 0u);
+    EXPECT_EQ(check.calibrator().observations() - observed0,
+              ssd.requestsServed() - served0 - failed);
 }
 
 TEST(HybridTierTest, PurgeClearsBothTiers)

@@ -1,7 +1,9 @@
 /** @file Unit tests for usecases/runner.h (replay engines). */
 #include <gtest/gtest.h>
 
+#include "core/ssdcheck.h"
 #include "ssd/ssd_device.h"
+#include "usecases/pas.h"
 #include "usecases/runner.h"
 #include "usecases/scheduler.h"
 #include "workload/synthetic.h"
@@ -23,6 +25,24 @@ cfg()
     c.jitterSigma = 0.0;
     c.hiccupProbability = 0.0;
     return c;
+}
+
+/** FNV-1a over a stream's sorted latencies and its end time: pins
+ *  every sample of a run without listing them. */
+uint64_t
+digest(const StreamResult &s)
+{
+    uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](int64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= static_cast<uint64_t>(v >> (8 * i)) & 0xffU;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (const sim::SimDuration lat : s.latency.sorted())
+        mix(lat);
+    mix(s.endTime.ns());
+    return h;
 }
 
 TEST(ClosedLoopRunnerTest, RunsWholeTrace)
@@ -73,6 +93,20 @@ TEST(ClosedLoopRunnerTest, SeparatesReadAndWriteLatencies)
     EXPECT_GT(res.writeLatency.count(), 0u);
     EXPECT_EQ(res.readLatency.count() + res.writeLatency.count(),
               res.latency.count());
+}
+
+TEST(ClosedLoopRunnerTest, QueueDepthEightIsPinned)
+{
+    // No figure drives runClosedLoop above QD1; this pins a QD8 run
+    // with thinktime, sample by sample.
+    ssd::SsdDevice dev(cfg());
+    dev.precondition();
+    const auto trace = workload::buildRwMixedTrace(3000, 8192, 21);
+    const StreamResult res =
+        runClosedLoop(dev, trace, 8, microseconds(20), sim::kTimeZero);
+    EXPECT_EQ(res.requests, 3000u);
+    EXPECT_EQ(res.endTime.ns(), 419098500);
+    EXPECT_EQ(digest(res), 8099702339842981219ULL);
 }
 
 TEST(TenantRunnerTest, TenantsInterleaveOnOneDevice)
@@ -168,6 +202,31 @@ TEST(ScheduledRunnerTest, WideDispatchCompletesEverything)
     DeadlineScheduler sched;
     const auto res = runScheduled(dev, sched, trace, sim::kTimeZero, nullptr, 4);
     EXPECT_EQ(res.stream.requests, 3000u);
+}
+
+TEST(ScheduledRunnerTest, WidePasDispatchIsPinned)
+{
+    // No figure drives runScheduled above width 1; this pins PAS at
+    // width 4 with the model fed through every completion.
+    ssd::SsdDevice dev(cfg());
+    dev.precondition();
+    core::FeatureSet fs;
+    fs.bufferBytes = 8 * 4096;
+    fs.bufferType = core::BufferTypeFeature::Back;
+    fs.flushAlgorithms.fullTrigger = true;
+    fs.observedFlushOverheadNs = milliseconds(2);
+    core::SsdCheck check(fs);
+    auto trace = workload::buildRwMixedTrace(3000, 8192, 22);
+    sim::Rng rng(23);
+    trace.assignPoissonArrivals(8000.0, rng);
+    PasScheduler sched(check);
+    const auto res =
+        runScheduled(dev, sched, trace, sim::kTimeZero, &check, 4);
+    EXPECT_EQ(res.stream.requests, 3000u);
+    EXPECT_EQ(res.maxQueueDepth, 279u);
+    EXPECT_EQ(check.calibrator().observations(), 3000u);
+    EXPECT_EQ(res.stream.endTime.ns(), 440748769);
+    EXPECT_EQ(digest(res.stream), 7450685606043227067ULL);
 }
 
 TEST(ScheduledRunnerTest, IdlePeriodsAreSkipped)

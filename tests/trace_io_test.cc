@@ -120,10 +120,29 @@ TEST(TraceIoTest, ParseErrorsReportTheOffendingLine)
     EXPECT_FALSE(Trace::loadText(withBlanks, &line).has_value());
     EXPECT_EQ(line, 5u); // the non-monotone arrival
 
+    // Nothing but spaces or tabs may follow the sectors field.
+    std::stringstream fractional("# x\n0 w 8 8\n0 w 0 8.5\n");
+    EXPECT_FALSE(Trace::loadText(fractional, &line).has_value());
+    EXPECT_EQ(line, 3u);
+
+    std::stringstream junk("# x\n0 w 0 8 junk\n");
+    EXPECT_FALSE(Trace::loadText(junk, &line).has_value());
+    EXPECT_EQ(line, 2u);
+
+    // Arrivals are offsets from the trace start: never negative.
+    std::stringstream negative("# x\n\n-5 w 16 8\n");
+    EXPECT_FALSE(Trace::loadText(negative, &line).has_value());
+    EXPECT_EQ(line, 3u);
+
     // A successful parse leaves the caller's value untouched.
     line = 999;
     std::stringstream good("# x\n0 w 8 8\n");
     EXPECT_TRUE(Trace::loadText(good, &line).has_value());
+    EXPECT_EQ(line, 999u);
+
+    // Trailing spaces and tabs are still fine.
+    std::stringstream blanks("# x\n0 w 8 8 \t\n");
+    EXPECT_TRUE(Trace::loadText(blanks, &line).has_value());
     EXPECT_EQ(line, 999u);
 }
 
