@@ -8,52 +8,70 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/sim_time.h"
 
 namespace ssdcheck::blockdev {
 
+/**
+ * The in-flight completion times, kept sorted in a fixed ring (the
+ * next power of two at or above depth). admit() takes the minimum at
+ * the head; push() inserts from the tail, so a completion later than
+ * every one in flight, the common case, lands without moving any.
+ * The minimum sequence is that of a min-heap, without its
+ * data-dependent sift-down on every admit.
+ */
 class InflightWindow
 {
   public:
-    explicit InflightWindow(uint32_t depth) : depth_(depth)
+    explicit InflightWindow(uint32_t depth)
+        : depth_(depth), mask_(std::bit_ceil(depth) - 1), ring_(mask_ + 1)
     {
         assert(depth > 0);
     }
 
-    bool full() const { return inflight_.size() >= depth_; }
+    bool full() const { return size_ >= depth_; }
 
     /** Clock at which the next request may issue from @p t: when
      *  full, retire the earliest completion and wait for it. */
     sim::SimTime admit(sim::SimTime t)
     {
         if (full()) {
-            t = std::max(t, inflight_.top());
-            inflight_.pop();
+            t = std::max(t, ring_[head_]);
+            head_ = (head_ + 1) & mask_;
+            --size_;
         }
         return t;
     }
 
-    void push(sim::SimTime complete) { inflight_.push(complete); }
+    void push(sim::SimTime complete)
+    {
+        assert(!full());
+        uint32_t i = size_++;
+        for (; i > 0 && complete < ring_[(head_ + i - 1) & mask_]; --i)
+            ring_[(head_ + i) & mask_] = ring_[(head_ + i - 1) & mask_];
+        ring_[(head_ + i) & mask_] = complete;
+    }
 
     /** Clock after every in-flight request has completed. */
     sim::SimTime drain(sim::SimTime t)
     {
-        for (; !inflight_.empty(); inflight_.pop())
-            t = std::max(t, inflight_.top());
+        if (size_ > 0)
+            t = std::max(t, ring_[(head_ + size_ - 1) & mask_]);
+        size_ = 0;
         return t;
     }
 
   private:
     uint32_t depth_;
-    std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                        std::greater<>>
-        inflight_;
+    uint32_t mask_;
+    uint32_t head_ = 0;
+    uint32_t size_ = 0;
+    std::vector<sim::SimTime> ring_;
 };
 
 } // namespace ssdcheck::blockdev

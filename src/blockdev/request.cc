@@ -39,15 +39,15 @@ toString(IoStatus s)
 IoRequest
 makeRead4k(uint64_t pageIndex)
 {
-    return IoRequest{IoType::Read, pageIndex * kSectorsPerPage,
-                     kSectorsPerPage};
+    return IoRequest{pageIndex * kSectorsPerPage, kSectorsPerPage,
+                     IoType::Read};
 }
 
 IoRequest
 makeWrite4k(uint64_t pageIndex)
 {
-    return IoRequest{IoType::Write, pageIndex * kSectorsPerPage,
-                     kSectorsPerPage};
+    return IoRequest{pageIndex * kSectorsPerPage, kSectorsPerPage,
+                     IoType::Write};
 }
 
 } // namespace ssdcheck::blockdev

@@ -69,12 +69,16 @@ inline bool isRetryable(IoStatus s)
     return s == IoStatus::MediaError || s == IoStatus::Timeout;
 }
 
-/** One block I/O request as seen at the device interface. */
+/**
+ * One block I/O request as seen at the device interface. The fields
+ * run from widest to narrowest so the request packs into 16 bytes:
+ * every workload holds its whole trace of them in memory.
+ */
 struct IoRequest
 {
-    IoType type = IoType::Read;
     uint64_t lba = 0;      ///< First sector address.
     uint32_t sectors = kSectorsPerPage; ///< Length in sectors.
+    IoType type = IoType::Read;
 
     /** Length in bytes. */
     uint64_t bytes() const
@@ -94,6 +98,7 @@ struct IoRequest
     bool isRead() const { return type == IoType::Read; }
     bool isWrite() const { return type == IoType::Write; }
 };
+static_assert(sizeof(IoRequest) == 16);
 
 /** Completion record returned by a device for one request. */
 struct IoResult

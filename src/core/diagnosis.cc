@@ -57,7 +57,7 @@ driveWrites(blockdev::BlockDevice &dev, Pattern &pat, sim::Rng &rng,
     sim::SimTime t = start;
     for (uint64_t i = 0; i < n; ++i) {
         t = window.admit(t);
-        const IoRequest req{IoType::Write, pat.nextLba(rng), kSectorsPerPage};
+        const IoRequest req{pat.nextLba(rng), kSectorsPerPage, IoType::Write};
         window.push(dev.submit(req, t).completeTime);
     }
     return window.drain(t);

@@ -157,7 +157,8 @@ class DiagnosisRunner
 
   private:
     // -- small closed-loop drivers ---------------------------------------
-    /** QD1 write stream; returns per-write latencies. */
+    /** QD1 write stream; returns the number of writes between
+     *  successive GC events. */
     std::vector<uint32_t> collectGcIntervals(uint64_t lbaA, int flipBit);
 
     // -- Algorithm 1 sub-tests --------------------------------------------

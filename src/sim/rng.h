@@ -80,12 +80,16 @@ class Rng
     uint64_t nextBelow(uint64_t bound)
     {
         assert(bound > 0);
-        // Rejection sampling to remove modulo bias.
-        const uint64_t threshold = (0 - bound) % bound;
+        // Rejection sampling to remove modulo bias: a draw below the
+        // threshold 2^64 mod bound is redrawn. The threshold is below
+        // bound, so only a draw below bound needs it (and is its own
+        // remainder): one division per draw either way.
         for (;;) {
             const uint64_t r = next();
-            if (r >= threshold)
+            if (r >= bound)
                 return r % bound;
+            if (r >= (0 - bound) % bound)
+                return r;
         }
     }
 

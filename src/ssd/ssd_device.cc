@@ -9,15 +9,15 @@ namespace ssdcheck::ssd {
 
 SsdDevice::SsdDevice(SsdConfig cfg)
     : cfg_(std::move(cfg)), router_(cfg_), rng_(cfg_.seed),
-      faults_(cfg_.faults, sim::Rng(cfg_.seed).fork(0xFA17))
+      faults_(cfg_.faults, sim::Rng(cfg_.seed).fork(0xFA17)),
+      faultsInert_(cfg_.faults.inert())
 {
     const std::string err = cfg_.validate();
     assert(err.empty() && "invalid SsdConfig");
     (void)err;
     for (uint32_t v = 0; v < cfg_.numVolumes(); ++v)
         volumes_.push_back(std::make_unique<Volume>(
-            cfg_, v, rng_.fork(v + 1),
-            cfg_.faults.inert() ? nullptr : &faults_));
+            cfg_, v, rng_.fork(v + 1), faultsInert_ ? nullptr : &faults_));
 }
 
 uint64_t
@@ -60,15 +60,18 @@ SsdDevice::submitDetailed(const blockdev::IoRequest &req, sim::SimTime now,
     }
 
     ++requestsServed_;
-    faults_.beginRequest(requestsServed_);
-    if (faults_.driftDue(requestsServed_)) {
-        applyDrift();
-        if (trace_ != nullptr)
-            trace_->instant(
-                "dev", "dev.drift", kBusTrack, now,
-                {{"kind", static_cast<int64_t>(cfg_.faults.driftKind)},
-                 {"request",
-                  static_cast<int64_t>(requestsServed_)}});
+    // An inert profile's hooks return at once without drawing, so
+    // skipping them changes nothing simulated.
+    if (!faultsInert_) {
+        faults_.beginRequest(requestsServed_);
+        if (faults_.driftDue(requestsServed_)) {
+            applyDrift();
+            if (trace_ != nullptr)
+                trace_->instant(
+                    "dev", "dev.drift", kBusTrack, now,
+                    {{"kind", static_cast<int64_t>(cfg_.faults.driftKind)},
+                     {"request", static_cast<int64_t>(requestsServed_)}});
+        }
     }
 
     // Host interface occupancy serializes all traffic.
@@ -146,7 +149,7 @@ SsdDevice::submitDetailed(const blockdev::IoRequest &req, sim::SimTime now,
     // Injected read faults: in-device retry loops show up to the host
     // only as latency spikes; reads that stay uncorrectable after
     // every retry level complete as MediaError.
-    if (req.isRead()) {
+    if (!faultsInert_ && req.isRead()) {
         const ReadFault rf = faults_.onRead(req.firstPage());
         if (rf.retries > 0) {
             complete += static_cast<sim::SimDuration>(rf.retries) *
@@ -163,7 +166,7 @@ SsdDevice::submitDetailed(const blockdev::IoRequest &req, sim::SimTime now,
 
     // Injected command stall: firmware wedged on housekeeping long
     // enough that a host-side timeout policy would fire.
-    const sim::SimDuration stall = faults_.stallFor();
+    const sim::SimDuration stall = faultsInert_ ? 0 : faults_.stallFor();
     if (stall > 0) {
         if (trace_ != nullptr)
             trace_->instant("dev", "dev.stall", kBusTrack, complete,

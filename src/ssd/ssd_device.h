@@ -118,6 +118,8 @@ class SsdDevice final : public blockdev::BlockDevice
     LbaRouter router_; ///< Precomputed LBA routing (hot path). // snapshot:skip(derived from cfg_ in the constructor; pure function of the volume layout)
     sim::Rng rng_;
     FaultInjector faults_;
+    /** The profile injects nothing: its per-request hooks are skipped. */
+    bool faultsInert_; // snapshot:skip(derived from cfg_.faults in the constructor)
     std::vector<std::unique_ptr<Volume>> volumes_;
     sim::SimTime busGate_;
     sim::SimTime lastSubmit_;

@@ -137,13 +137,12 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
     while (next < records.size() || !sched.empty()) {
         if (sched.empty()) {
             // Idle until the next arrival (in-flight work continues).
-            t = std::max(t, start + records[next].arrival);
+            t = std::max(t, start + trace.arrival(next));
         }
-        while (next < records.size() &&
-               start + records[next].arrival <= t) {
+        while (next < records.size() && start + trace.arrival(next) <= t) {
             QueuedRequest qr;
             qr.req = records[next].req;
-            qr.arrival = start + records[next].arrival;
+            qr.arrival = start + trace.arrival(next);
             qr.seq = seq++;
             sched.enqueue(qr);
             ++next;

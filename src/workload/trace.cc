@@ -13,19 +13,21 @@
 namespace ssdcheck::workload {
 
 void
-Trace::add(TraceRecord rec)
+Trace::add(const blockdev::IoRequest &req, sim::SimDuration arrival)
 {
-    assert(records_.empty() || rec.arrival >= records_.back().arrival);
-    records_.push_back(rec);
+    assert(arrival >= lastArrival());
+    if (arrival != 0 || !arrivals_.empty()) {
+        // The first nonzero arrival backfills the zeros before it.
+        arrivals_.resize(records_.size());
+        arrivals_.push_back(arrival);
+    }
+    records_.push_back(TraceRecord{req});
 }
 
 void
 Trace::add(const blockdev::IoRequest &req)
 {
-    TraceRecord rec;
-    rec.arrival = records_.empty() ? 0 : records_.back().arrival;
-    rec.req = req;
-    records_.push_back(rec);
+    add(req, lastArrival());
 }
 
 TraceStats
@@ -59,9 +61,10 @@ void
 Trace::assignPoissonArrivals(double iops, sim::Rng &rng)
 {
     assert(iops > 0.0);
+    arrivals_.resize(records_.size());
     sim::SimDuration t = 0;
-    for (auto &r : records_) {
-        r.arrival = t;
+    for (auto &a : arrivals_) {
+        a = t;
         // Exponential inter-arrival with mean 1/iops seconds.
         double u = rng.uniform01();
         if (u <= 0.0)
@@ -76,6 +79,8 @@ Trace::truncate(size_t n)
 {
     if (records_.size() > n)
         records_.resize(n);
+    if (arrivals_.size() > n)
+        arrivals_.resize(n);
 }
 
 namespace {
@@ -100,9 +105,10 @@ void
 Trace::saveText(std::ostream &os) const
 {
     os << "# " << name_ << "\n";
-    for (const auto &r : records_) {
-        os << r.arrival << ' ' << typeChar(r.req.type) << ' ' << r.req.lba
-           << ' ' << r.req.sectors << "\n";
+    for (size_t i = 0; i < records_.size(); ++i) {
+        const blockdev::IoRequest &req = records_[i].req;
+        os << arrival(i) << ' ' << typeChar(req.type) << ' ' << req.lba
+           << ' ' << req.sectors << "\n";
     }
 }
 
@@ -170,8 +176,9 @@ Trace::loadText(std::istream &is, size_t *errorLine)
             continue;
         const char *lp = line.data();
         const char *const lend = lp + line.size();
-        TraceRecord rec;
-        if (!parseField(lp, lend, &rec.arrival) || rec.arrival < 0)
+        sim::SimDuration arrival = 0;
+        blockdev::IoRequest req;
+        if (!parseField(lp, lend, &arrival) || arrival < 0)
             return fail();
         while (lp < lend && (*lp == ' ' || *lp == '\t'))
             ++lp;
@@ -179,31 +186,32 @@ Trace::loadText(std::istream &is, size_t *errorLine)
             return fail();
         switch (*lp++) {
           case 'r':
-            rec.req.type = blockdev::IoType::Read;
+            req.type = blockdev::IoType::Read;
             break;
           case 'w':
-            rec.req.type = blockdev::IoType::Write;
+            req.type = blockdev::IoType::Write;
             break;
           case 't':
-            rec.req.type = blockdev::IoType::Trim;
+            req.type = blockdev::IoType::Trim;
             break;
           default:
             return fail();
         }
         if (lp < lend && *lp != ' ' && *lp != '\t')
             return fail(); // type must be a single letter
-        if (!parseField(lp, lend, &rec.req.lba) ||
-            !parseField(lp, lend, &rec.req.sectors))
+        if (!parseField(lp, lend, &req.lba) ||
+            !parseField(lp, lend, &req.sectors))
             return fail();
         while (lp < lend && (*lp == ' ' || *lp == '\t'))
             ++lp;
         if (lp < lend)
             return fail(); // trailing junk after the sectors field
-        if (!t.records_.empty() && rec.arrival < t.records_.back().arrival)
+        if (arrival < t.lastArrival())
             return fail(); // arrivals must be monotone
-        t.records_.push_back(rec);
+        t.add(req, arrival);
     }
     t.records_.shrink_to_fit();
+    t.arrivals_.shrink_to_fit();
     return t;
 }
 

@@ -4,10 +4,12 @@
  *
  * A trace is an ordered list of records with optional arrival times.
  * Closed-loop replay ignores arrivals; open-loop replay (the
- * scheduler experiments) uses them. characterize() computes the three
- * statistics Table II reports: request count, write fraction, and
- * randomness (fraction of requests not sequentially adjacent to the
- * previous request).
+ * scheduler experiments) uses them. Arrivals live in a column of
+ * their own that stays empty while every arrival is 0, so a
+ * closed-loop trace costs 16 bytes per record. characterize()
+ * computes the three statistics Table II reports: request count,
+ * write fraction, and randomness (fraction of requests not
+ * sequentially adjacent to the previous request).
  */
 #pragma once
 
@@ -23,12 +25,12 @@
 
 namespace ssdcheck::workload {
 
-/** One trace entry. */
+/** One trace entry; its arrival is Trace::arrival(i). */
 struct TraceRecord
 {
-    sim::SimDuration arrival = 0; ///< Arrival offset from trace start.
     blockdev::IoRequest req;
 };
+static_assert(sizeof(TraceRecord) == 16);
 
 /** Table II-style workload statistics. */
 struct TraceStats
@@ -46,10 +48,10 @@ class Trace
     Trace() = default;
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
-    /** Append a record (arrivals must be nondecreasing). */
-    void add(TraceRecord rec);
+    /** Append a request at @p arrival (arrivals must be nondecreasing). */
+    void add(const blockdev::IoRequest &req, sim::SimDuration arrival);
 
-    /** Append a request with arrival 0 (closed-loop use). */
+    /** Append a request at the last record's arrival (0 when none). */
     void add(const blockdev::IoRequest &req);
 
     /** Pre-size for @p n records (builders know their length). */
@@ -62,6 +64,12 @@ class Trace
     bool empty() const { return records_.empty(); }
     const TraceRecord &operator[](size_t i) const { return records_[i]; }
     const std::vector<TraceRecord> &records() const { return records_; }
+
+    /** Arrival offset of record @p i from trace start. */
+    sim::SimDuration arrival(size_t i) const
+    {
+        return arrivals_.empty() ? 0 : arrivals_[i];
+    }
 
     /** Compute Table II statistics. */
     TraceStats characterize() const;
@@ -92,8 +100,17 @@ class Trace
                                          size_t *errorLine = nullptr);
 
   private:
+    /** Arrival of the last record (0 when none). */
+    sim::SimDuration lastArrival() const
+    {
+        return arrivals_.empty() ? 0 : arrivals_.back();
+    }
+
     std::string name_;
     std::vector<TraceRecord> records_;
+    /** Per-record arrivals; empty while every arrival is 0, else the
+     *  same length as records_. */
+    std::vector<sim::SimDuration> arrivals_;
 };
 
 } // namespace ssdcheck::workload

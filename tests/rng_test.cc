@@ -47,6 +47,33 @@ TEST(RngTest, NextBelowCoversRange)
     EXPECT_EQ(seen.size(), 8u);
 }
 
+TEST(RngTest, NextBelowMatchesTwoDivisionRejection)
+{
+    // The textbook form: compute 2^64 mod bound up front and redraw
+    // below it. nextBelow must give the same values from the same
+    // number of raw draws, including bounds just above 2^63 where
+    // about half the draws are rejected.
+    auto reference = [](Rng &rng, uint64_t bound) {
+        const uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            const uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    Rng boundRng(5);
+    Rng a(11), b(11);
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t bound = boundRng.next() >> boundRng.nextBelow(64);
+        if (i % 4 == 0)
+            bound = (1ULL << 63) + boundRng.nextBelow(1000);
+        if (bound == 0)
+            bound = 1;
+        ASSERT_EQ(a.nextBelow(bound), reference(b, bound)) << bound;
+        ASSERT_EQ(a.draws(), b.draws());
+    }
+}
+
 TEST(RngTest, UniformIntInclusiveBounds)
 {
     Rng rng(3);

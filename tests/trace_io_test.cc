@@ -16,14 +16,13 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
 {
     Trace t("demo trace");
     for (int i = 0; i < 100; ++i) {
-        TraceRecord rec;
-        rec.arrival = i * 1000;
-        rec.req.type = i % 3 == 0   ? IoType::Read
-                       : i % 3 == 1 ? IoType::Write
-                                    : IoType::Trim;
-        rec.req.lba = static_cast<uint64_t>(i) * 8;
-        rec.req.sectors = (i % 4 + 1) * 8;
-        t.add(rec);
+        IoRequest req;
+        req.type = i % 3 == 0   ? IoType::Read
+                   : i % 3 == 1 ? IoType::Write
+                                : IoType::Trim;
+        req.lba = static_cast<uint64_t>(i) * 8;
+        req.sectors = (i % 4 + 1) * 8;
+        t.add(req, i * 1000);
     }
     std::stringstream ss;
     t.saveText(ss);
@@ -32,7 +31,7 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
     EXPECT_EQ(back->name(), "demo trace");
     ASSERT_EQ(back->size(), t.size());
     for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ((*back)[i].arrival, t[i].arrival);
+        EXPECT_EQ(back->arrival(i), t.arrival(i));
         EXPECT_EQ((*back)[i].req.type, t[i].req.type);
         EXPECT_EQ((*back)[i].req.lba, t[i].req.lba);
         EXPECT_EQ((*back)[i].req.sectors, t[i].req.sectors);

@@ -1,6 +1,8 @@
 /** @file Unit tests for workload/trace.h. */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "workload/trace.h"
 
 namespace ssdcheck::workload {
@@ -78,13 +80,67 @@ TEST(TraceTest, PoissonArrivalsAreMonotoneAndRoughlyRate)
     sim::Rng rng(1);
     t.assignPoissonArrivals(10000.0, rng); // 10k IOPS
     sim::SimDuration prev = -1;
-    for (const auto &r : t.records()) {
-        EXPECT_GE(r.arrival, prev);
-        prev = r.arrival;
+    for (size_t i = 0; i < t.size(); ++i) {
+        EXPECT_GE(t.arrival(i), prev);
+        prev = t.arrival(i);
     }
     // Mean inter-arrival ~100us -> span ~2s.
-    const double spanSec = sim::toSeconds(t.records().back().arrival);
+    const double spanSec = sim::toSeconds(t.arrival(t.size() - 1));
     EXPECT_NEAR(spanSec, 2.0, 0.1);
+}
+
+TEST(TraceTest, ClosedLoopAppendsReadArrivalZero)
+{
+    Trace t;
+    for (int i = 0; i < 5; ++i)
+        t.add(req(IoType::Write, i));
+    t.add(req(IoType::Read, 7), 0);
+    for (size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(t.arrival(i), 0) << i;
+}
+
+TEST(TraceTest, AddAfterTimedRecordRepeatsItsArrival)
+{
+    Trace t;
+    t.add(req(IoType::Write, 0));
+    t.add(req(IoType::Write, 1), 500);
+    t.add(req(IoType::Read, 2));
+    t.add(req(IoType::Read, 3));
+    ASSERT_EQ(t.size(), 4u);
+    EXPECT_EQ(t.arrival(0), 0);
+    EXPECT_EQ(t.arrival(1), 500);
+    EXPECT_EQ(t.arrival(2), 500);
+    EXPECT_EQ(t.arrival(3), 500);
+}
+
+TEST(TraceTest, NonzeroFirstArrivalIsKept)
+{
+    Trace t;
+    t.add(req(IoType::Write, 0), 1000);
+    t.add(req(IoType::Write, 1), 2000);
+    EXPECT_EQ(t.arrival(0), 1000);
+    EXPECT_EQ(t.arrival(1), 2000);
+}
+
+TEST(TraceTest, TruncateAfterPoissonArrivalsKeepsThemAligned)
+{
+    Trace t;
+    for (int i = 0; i < 100; ++i)
+        t.add(req(IoType::Read, i));
+    sim::Rng rng(3);
+    t.assignPoissonArrivals(10000.0, rng);
+    std::vector<sim::SimDuration> before;
+    for (size_t i = 0; i < t.size(); ++i)
+        before.push_back(t.arrival(i));
+    t.truncate(40);
+    ASSERT_EQ(t.size(), 40u);
+    for (size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(t.arrival(i), before[i]) << i;
+        EXPECT_EQ(t[i].req.lba, i * kSectorsPerPage) << i;
+    }
+    // Appending after the cut continues from the kept last arrival.
+    t.add(req(IoType::Read, 999));
+    EXPECT_EQ(t.arrival(40), before[39]);
 }
 
 TEST(TraceTest, TruncateShortens)
