@@ -32,8 +32,8 @@ main()
         prep.precondition(); // SNIA steady state
         const auto trace =
             workload::buildRwMixedTrace(150000, dev.capacityPages(), 42);
-        results.push_back(
-            usecases::runClosedLoop(dev, trace, 1, 0, prep.now()));
+        results.push_back(usecases::runClosedLoop(
+            {{.trace = &trace, .dev = &dev}}, prep.now())[0]);
         results.back().name = dev.name();
     }
 

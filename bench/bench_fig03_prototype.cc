@@ -18,9 +18,9 @@
 
 #include <algorithm>
 
-#include "blockdev/inflight_window.h"
 #include "stats/latency_recorder.h"
 #include "stats/timeline.h"
+#include "usecases/runner.h"
 #include "workload/synthetic.h"
 
 using namespace ssdcheck;
@@ -65,9 +65,8 @@ runVariant(ssd::PrototypeVariant v)
     // Steady-state churn before measuring.
     const auto warm =
         workload::buildRandomWriteTrace(40000, dev.capacityPages(), 9);
-    sim::SimTime t;
-    for (const auto &rec : warm.records())
-        t = dev.submit(rec.req, t).completeTime;
+    sim::SimTime t = usecases::runClosedLoop(
+        {{.trace = &warm, .dev = &dev}}, sim::kTimeZero)[0].endTime;
 
     // Latency run: QD1 with thinktime so each latency reflects its
     // own request's cause, not upstream queueing.
@@ -91,14 +90,8 @@ runVariant(ssd::PrototypeVariant v)
     // Throughput run: saturated QD16.
     const auto tputTrace =
         workload::buildRandomWriteTrace(60000, dev.capacityPages(), 11);
-    blockdev::InflightWindow window(16);
-    const sim::SimTime start = t;
-    for (const auto &rec : tputTrace.records()) {
-        t = window.admit(t);
-        const auto res = dev.submit(rec.req, t);
-        window.push(res.completeTime);
-        out.timeline.add(res.completeTime - start, rec.req.bytes());
-    }
+    out.timeline = usecases::runClosedLoop(
+        {{.trace = &tputTrace, .dev = &dev, .queueDepth = 16}}, t)[0].timeline;
     return out;
 }
 

@@ -41,15 +41,12 @@ runPair(workload::SniaWorkload readW, workload::SniaWorkload writeW,
     auto vols = volumeAware ? usecases::makeVolumeAwareVolumes(
                                   dev, dev.config().volumeBits)
                             : usecases::makeLinearVolumes(dev, 2);
-    std::vector<usecases::TenantSpec> tenants(2);
-    tenants[0].trace = &readTrace;
-    tenants[0].dev = vols[0].get();
-    tenants[1].trace = &writeTrace;
-    tenants[1].dev = vols[1].get();
     // The writer loops so the colocation pressure lasts for the whole
     // read-tenant measurement, as in the paper's concurrent setup.
-    tenants[1].loop = true;
-    const auto res = usecases::runTenantsClosedLoop(tenants, sim::kTimeZero);
+    const auto res = usecases::runClosedLoop(
+        {{.trace = &readTrace, .dev = vols[0].get()},
+         {.trace = &writeTrace, .dev = vols[1].get(), .loop = true}},
+        sim::kTimeZero);
     return PairResult{res[0].throughputMbps(),
                       res[0].readLatency.percentile(99.5),
                       res[1].throughputMbps()};

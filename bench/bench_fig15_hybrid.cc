@@ -59,8 +59,9 @@ runTier(ssd::SsdModel model, HybridMode mode, const workload::Trace &trace,
                     mode == HybridMode::HybridPas ? &check : nullptr, mode,
                     hcfg);
     TierRun out;
-    out.stream =
-        usecases::runClosedLoop(tier, trace, 1, thinktime, runner.now());
+    out.stream = usecases::runClosedLoop(
+        {{.trace = &trace, .dev = &tier, .thinktime = thinktime}},
+        runner.now())[0];
     out.nvmPressure = tier.nvmWritePages();
     out.backpressure = tier.backpressureWrites();
     return out;

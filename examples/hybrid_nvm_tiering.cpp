@@ -47,9 +47,9 @@ runMode(usecases::HybridMode mode)
 
     const auto trace =
         workload::buildRandomWriteTrace(60000, 128 * 1024, 31);
-    const auto res = usecases::runClosedLoop(tier, trace, 1,
-                                             sim::microseconds(100),
-                                             runner.now());
+    const auto res = usecases::runClosedLoop(
+        {{.trace = &trace, .dev = &tier, .thinktime = sim::microseconds(100)}},
+        runner.now())[0];
 
     std::printf("%s:\n", tier.name().c_str());
     const size_t w = res.timeline.numWindows();

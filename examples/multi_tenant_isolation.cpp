@@ -37,16 +37,13 @@ runScheme(bool volumeAware, const std::vector<uint32_t> &volumeBits)
     auto vols = volumeAware
                     ? usecases::makeVolumeAwareVolumes(dev, volumeBits)
                     : usecases::makeLinearVolumes(dev, 2);
-    std::vector<usecases::TenantSpec> tenants(2);
-    tenants[0].trace = &readTrace;
-    tenants[0].dev = vols[0].get();
-    tenants[0].name = "read-service";
-    tenants[1].trace = &writeTrace;
-    tenants[1].dev = vols[1].get();
-    tenants[1].name = "log-writer";
-    tenants[1].loop = true;
-
-    const auto res = usecases::runTenantsClosedLoop(tenants, sim::kTimeZero);
+    const auto res = usecases::runClosedLoop(
+        {{.trace = &readTrace, .dev = vols[0].get(), .name = "read-service"},
+         {.trace = &writeTrace,
+          .dev = vols[1].get(),
+          .name = "log-writer",
+          .loop = true}},
+        sim::kTimeZero);
     std::printf("%s:\n", volumeAware ? "VA-LVM (volume-aware)"
                                      : "Linear-LVM (conventional)");
     for (const auto &r : res) {

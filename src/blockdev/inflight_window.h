@@ -2,8 +2,8 @@
  * @file
  * The host's one queue-depth discipline: the completion times of the
  * at most depth requests a closed-loop host keeps in flight.
- * Diagnosis's QD-N write drives, the use-case runners and the benches
- * all step their clock through it.
+ * Diagnosis's QD-N write drives and the use-case runners all step
+ * their clock through it.
  */
 #pragma once
 
@@ -37,15 +37,21 @@ class InflightWindow
     bool full() const { return size_ >= depth_; }
 
     /** Clock at which the next request may issue from @p t: when
-     *  full, retire the earliest completion and wait for it. */
+     *  full, the earliest in-flight completion. */
+    sim::SimTime nextAdmit(sim::SimTime t) const
+    {
+        return full() ? std::max(t, ring_[head_]) : t;
+    }
+
+    /** nextAdmit(@p t), retiring the completion it waits for. */
     sim::SimTime admit(sim::SimTime t)
     {
+        const sim::SimTime at = nextAdmit(t);
         if (full()) {
-            t = std::max(t, ring_[head_]);
             head_ = (head_ + 1) & mask_;
             --size_;
         }
-        return t;
+        return at;
     }
 
     void push(sim::SimTime complete)

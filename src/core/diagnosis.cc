@@ -235,22 +235,22 @@ DiagnosisRunner::scanGcVolumes()
 }
 
 uint64_t
-DiagnosisRunner::randomVolume0Lba(const std::vector<uint32_t> &volumeBits,
-                                  bool upperHalf)
+randomVolume0Lba(const blockdev::BlockDevice &dev, sim::Rng &rng,
+                 const std::vector<uint32_t> &volumeBits, bool upperHalf)
 {
-    const uint64_t pages = dev_.capacityPages();
+    const uint64_t pages = dev.capacityPages();
     // Partition reader/writer regions on page bit 10 (4MB interleave)
     // so both spread over the device without overlapping.
     constexpr uint32_t kRegionSectorBit = 13;
     for (;;) {
-        uint64_t lba = rng_.nextBelow(pages) * kSectorsPerPage;
+        uint64_t lba = rng.nextBelow(pages) * kSectorsPerPage;
         for (uint32_t b : volumeBits)
             lba &= ~(1ULL << b);
         if (upperHalf)
             lba |= (1ULL << kRegionSectorBit);
         else
             lba &= ~(1ULL << kRegionSectorBit);
-        if (lba + kSectorsPerPage <= dev_.capacitySectors())
+        if (lba + kSectorsPerPage <= dev.capacitySectors())
             return lba;
     }
 }
@@ -359,7 +359,7 @@ DiagnosisRunner::backgroundReadTest(
             tw = std::max(tw, lastSubmit);
             IoRequest req;
             req.type = IoType::Write;
-            req.lba = randomVolume0Lba(volumeBits, false);
+            req.lba = randomVolume0Lba(dev_, rng_, volumeBits, false);
             req.sectors = kSectorsPerPage;
             const auto res = dev_.submit(req, tw);
             lastSubmit = tw;
@@ -369,7 +369,7 @@ DiagnosisRunner::backgroundReadTest(
             tr = std::max(tr, lastSubmit);
             IoRequest req;
             req.type = IoType::Read;
-            req.lba = randomVolume0Lba(volumeBits, true);
+            req.lba = randomVolume0Lba(dev_, rng_, volumeBits, true);
             req.sectors = kSectorsPerPage;
             const auto res = dev_.submit(req, tr);
             lastSubmit = tr;
@@ -416,7 +416,7 @@ DiagnosisRunner::readTriggerFlushTest(
         for (uint32_t i = 0; i < k; ++i) {
             IoRequest req;
             req.type = IoType::Write;
-            req.lba = randomVolume0Lba(volumeBits, false);
+            req.lba = randomVolume0Lba(dev_, rng_, volumeBits, false);
             req.sectors = kSectorsPerPage;
             const auto res = dev_.submit(req, t);
             t = res.completeTime + sim::microseconds(100) +
@@ -424,7 +424,7 @@ DiagnosisRunner::readTriggerFlushTest(
         }
         IoRequest req;
         req.type = IoType::Read;
-        req.lba = randomVolume0Lba(volumeBits, true);
+        req.lba = randomVolume0Lba(dev_, rng_, volumeBits, true);
         req.sectors = kSectorsPerPage;
         const auto res = dev_.submit(req, t);
         if (cleanSample(res)) {
@@ -457,7 +457,7 @@ DiagnosisRunner::writeOnlyTest(const std::vector<uint32_t> &volumeBits)
     for (uint64_t i = 0; i < cfg_.wbTestWrites; ++i) {
         IoRequest req;
         req.type = IoType::Write;
-        req.lba = randomVolume0Lba(volumeBits, false);
+        req.lba = randomVolume0Lba(dev_, rng_, volumeBits, false);
         req.sectors = kSectorsPerPage;
         const auto res = dev_.submit(req, t);
         if (cleanSample(res) && res.latency() > cfg_.hlLatencyThreshold) {
@@ -544,14 +544,8 @@ DiagnosisRunner::extractFeatures()
     if (cfg_.precondition)
         sequentialFill();
 
-    // Paper §III-B2: allocation and GC volume indices coincide; the
-    // buffer analysis isolates one volume using their union.
-    std::vector<uint32_t> bits = fs.allocationVolumeBits;
-    bits.insert(bits.end(), fs.gcVolumeBits.begin(), fs.gcVolumeBits.end());
-    std::sort(bits.begin(), bits.end());
-    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
-
-    const WbAnalysis wb = analyzeWriteBuffer(bits);
+    // The buffer analysis isolates one volume using both scans' bits.
+    const WbAnalysis wb = analyzeWriteBuffer(fs.volumeBits());
     fs.bufferBytes = wb.bufferBytes;
     fs.bufferType = wb.bufferType;
     fs.flushAlgorithms = wb.flushAlgorithms;

@@ -109,6 +109,17 @@ FlushPeriodEstimate estimateFlushPeriod(
     const std::vector<sim::SimDuration> &eventLatencies,
     uint32_t minPages);
 
+/**
+ * Random page-aligned LBA of @p dev inside volume 0 of @p volumeBits,
+ * drawn from @p rng. Shared by the write-buffer snippets and the
+ * health supervisor's probes.
+ * @param upperHalf the reader region (sector bit 13 set) rather than
+ *        the writer region (clear).
+ */
+uint64_t randomVolume0Lba(const blockdev::BlockDevice &dev, sim::Rng &rng,
+                          const std::vector<uint32_t> &volumeBits,
+                          bool upperHalf);
+
 /** Fig. 6 / Algorithm 1 artifact. */
 struct WbAnalysis
 {
@@ -172,10 +183,6 @@ class DiagnosisRunner
     bool readTriggerFlushTest(const std::vector<uint32_t> &volumeBits);
 
     SizeEstimate writeOnlyTest(const std::vector<uint32_t> &volumeBits);
-
-    /** Random page-aligned LBA within volume-0 of @p volumeBits. */
-    uint64_t randomVolume0Lba(const std::vector<uint32_t> &volumeBits,
-                              bool upperHalf);
 
     uint32_t highestScanBit() const;
 

@@ -1,5 +1,6 @@
 #include "core/feature_set.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "recovery/state_io.h"
@@ -18,6 +19,16 @@ toString(BufferTypeFeature t)
         return "fore";
     }
     return "?";
+}
+
+std::vector<uint32_t>
+FeatureSet::volumeBits() const
+{
+    std::vector<uint32_t> bits = allocationVolumeBits;
+    bits.insert(bits.end(), gcVolumeBits.begin(), gcVolumeBits.end());
+    std::sort(bits.begin(), bits.end());
+    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+    return bits;
 }
 
 std::string

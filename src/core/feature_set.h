@@ -57,6 +57,13 @@ struct FeatureSet
     /** True when the buffer analysis succeeded. */
     bool bufferModelUsable() const { return bufferBytes > 0; }
 
+    /**
+     * Union of the allocation and GC volume bits, sorted and
+     * deduplicated: the two volume indices coincide (§III-B2), so the
+     * buffer analysis, the model and the probes key volumes on it.
+     */
+    std::vector<uint32_t> volumeBits() const;
+
     /** Number of allocation volumes implied by the bits. */
     uint32_t numVolumes() const
     {

@@ -1,7 +1,7 @@
 #include "core/health_supervisor.h"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "core/diagnosis.h"
 #include "stats/chi_squared.h"
@@ -35,32 +35,13 @@ toString(HealthState s)
     return "?";
 }
 
-namespace {
-
-/** Union of the diagnosed volume bits, sorted and deduplicated. */
-std::vector<uint32_t>
-unionVolumeBits(const FeatureSet &fs)
-{
-    std::vector<uint32_t> bits = fs.allocationVolumeBits;
-    bits.insert(bits.end(), fs.gcVolumeBits.begin(), fs.gcVolumeBits.end());
-    std::sort(bits.begin(), bits.end());
-    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
-    return bits;
-}
-
-/** Probe reader/writer regions split on this sector-LBA bit (mirrors
- *  the diagnosis snippets' region partition). */
-constexpr uint32_t kRegionSectorBit = 13;
-
-} // namespace
-
 HealthSupervisor::HealthSupervisor(SsdCheck &check,
                                    blockdev::BlockDevice &dev,
                                    HealthSupervisorConfig cfg)
     : check_(check), dev_(dev), cfg_(cfg), rng_(cfg.probeSeed),
       baseline_(0, cfg.histBinWidth, cfg.histBins),
       recent_(0, cfg.histBinWidth, cfg.histBins),
-      probeVolumeBits_(unionVolumeBits(check.features()))
+      probeVolumeBits_(check.features().volumeBits())
 {
 }
 
@@ -281,7 +262,7 @@ HealthSupervisor::hotSwap(uint32_t pages, sim::SimDuration meanSpike)
     check_.hotSwapModel(std::move(fs));
     ++counters_.hotSwaps;
     swapPages_ = pages;
-    probeVolumeBits_ = unionVolumeBits(check_.features());
+    probeVolumeBits_ = check_.features().volumeBits();
 
     // Fresh probation: the detectors must judge the new model on its
     // own evidence, so the baseline histogram rebuilds from scratch.
@@ -304,23 +285,6 @@ HealthSupervisor::probeBudgetAllows(sim::SimTime now) const
            cfg_.probeBudgetFraction * static_cast<double>(elapsed);
 }
 
-uint64_t
-HealthSupervisor::probeLba(bool upperHalf)
-{
-    const uint64_t pages = dev_.capacityPages();
-    for (;;) {
-        uint64_t lba = rng_.nextBelow(pages) * kSectorsPerPage;
-        for (uint32_t b : probeVolumeBits_)
-            lba &= ~(1ULL << b);
-        if (upperHalf)
-            lba |= (1ULL << kRegionSectorBit);
-        else
-            lba &= ~(1ULL << kRegionSectorBit);
-        if (lba + kSectorsPerPage <= dev_.capacitySectors())
-            return lba;
-    }
-}
-
 bool
 HealthSupervisor::inProbeVolume(uint64_t lba) const
 {
@@ -335,10 +299,10 @@ HealthSupervisor::issueProbe(sim::SimTime now)
     // workloads) and reads (the flush-blocked spike samplers).
     if (probeWriteNext_) {
         req.type = IoType::Write;
-        req.lba = probeLba(false);
+        req.lba = randomVolume0Lba(dev_, rng_, probeVolumeBits_, false);
     } else {
         req.type = IoType::Read;
-        req.lba = probeLba(true);
+        req.lba = randomVolume0Lba(dev_, rng_, probeVolumeBits_, true);
     }
     probeWriteNext_ = !probeWriteNext_;
     req.sectors = kSectorsPerPage;

@@ -229,7 +229,6 @@ class HealthSupervisor
     void hotSwap(uint32_t pages, sim::SimDuration meanSpike);
     bool probeBudgetAllows(sim::SimTime now) const;
     sim::SimTime issueProbe(sim::SimTime now);
-    uint64_t probeLba(bool upperHalf);
     bool inProbeVolume(uint64_t lba) const;
 
     SsdCheck &check_; // snapshot:skip(ctor-wired reference; the restore harness rebuilds the object graph)

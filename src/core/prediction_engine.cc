@@ -7,26 +7,11 @@
 
 namespace ssdcheck::core {
 
-namespace {
-
-/** Union of allocation and GC volume bits, sorted and deduplicated. */
-std::vector<uint32_t>
-unionBits(const FeatureSet &fs)
-{
-    std::vector<uint32_t> bits = fs.allocationVolumeBits;
-    bits.insert(bits.end(), fs.gcVolumeBits.begin(), fs.gcVolumeBits.end());
-    std::sort(bits.begin(), bits.end());
-    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
-    return bits;
-}
-
-} // namespace
-
 PredictionEngine::PredictionEngine(const FeatureSet &features,
                                    Calibrator &calibrator,
                                    LatencyMonitor &monitor,
                                    GcModelConfig gcCfg, Options options)
-    : features_(features), volumeBits_(unionBits(features)),
+    : features_(features), volumeBits_(features.volumeBits()),
       calibrator_(calibrator), monitor_(monitor), options_(options),
       fore_(features.bufferType == BufferTypeFeature::Fore)
 {

@@ -82,7 +82,7 @@ runTimedBatch(
     out.tasks.resize(tasks.size());
     const auto batchStart = std::chrono::steady_clock::now();
     {
-        ThreadPool pool(out.jobs);
+        ThreadPool pool(ThreadPool::workersFor(out.jobs, tasks.size()));
         out.workerThreads = pool.threads();
         parallelFor(pool, tasks.size(), [&](size_t i) {
             const auto t0 = std::chrono::steady_clock::now();

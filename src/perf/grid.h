@@ -92,8 +92,7 @@ struct BatchTiming
     std::vector<TaskTiming> tasks; ///< In submission (grid) order.
     double wallSeconds = 0;        ///< Whole-batch wall clock.
     unsigned jobs = 1;             ///< Requested job count.
-    /** Workers the pool actually ran (defaultJobs() can differ from
-     *  the request when hardware_concurrency() is unknown); reported
+    /** Workers the pool actually ran: at most one per task; reported
      *  in BENCH_grid.json so speedups are reproducible. */
     unsigned workerThreads = 1;
 
@@ -121,7 +120,8 @@ GridResult runGrid(const GridSpec &spec, unsigned jobs);
 
 /**
  * Run @p tasks (label + body returning its simulated-IO count) on a
- * fresh pool of @p jobs threads, timing each task and the batch.
+ * fresh pool of @p jobs threads (at most one per task), timing each
+ * task and the batch.
  * The generic engine under runGrid, also used directly by benches
  * whose unit of work is not a preset shard.
  */

@@ -1,5 +1,6 @@
 #include "perf/thread_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ssdcheck::perf {
@@ -31,6 +32,13 @@ ThreadPool::defaultJobs()
     // a zero-thread pool would deadlock submit/wait, so clamp.
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
+}
+
+unsigned
+ThreadPool::workersFor(unsigned jobs, size_t tasks)
+{
+    return static_cast<unsigned>(
+        std::max<size_t>(1, std::min<size_t>(jobs, tasks)));
 }
 
 void

@@ -63,6 +63,10 @@ class ThreadPool
     /** Hardware concurrency, clamped to at least 1. */
     static unsigned defaultJobs();
 
+    /** Pool size for @p tasks tasks at @p jobs requested jobs: no more
+     *  workers than tasks, and at least one. */
+    static unsigned workersFor(unsigned jobs, size_t tasks);
+
   private:
     void workerLoop() SSDCHECK_EXCLUDES(mu_);
 

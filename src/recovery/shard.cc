@@ -136,8 +136,8 @@ createRun(const RunParams &params, bool forResume, std::string *err,
         return fail("unknown device '" + params.device + "'");
     if (!ssd::faultProfileByName(params.faults, &spec.device.faults))
         return fail("unknown fault profile '" + params.faults + "'");
-    if (params.scale <= 0)
-        return fail("scale must be positive");
+    if (!workload::validScale(params.scale))
+        return fail("bad value for --scale: must be in (0, 1]");
     if (!resilience::resiliencePolicyByName(params.resilience, &spec.policy))
         return fail("unknown resilience policy '" + params.resilience +
                     "'");

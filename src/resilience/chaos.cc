@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
@@ -11,7 +10,9 @@
 #include "perf/thread_pool.h"
 #include "recovery/invariants.h"
 #include "recovery/state_io.h"
+#include "sim/parse_number.h"
 #include "ssd/presets.h"
+#include "workload/snia_synth.h"
 
 namespace ssdcheck::resilience {
 
@@ -38,31 +39,6 @@ fnum(double v)
     return buf;
 }
 
-bool
-parseU64(const std::string &s, uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseF64(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
 
 bool
 driftKindByName(const std::string &name, ssd::DriftKind *out)
@@ -178,7 +154,7 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         // Single-token numeric values.
         auto u64 = [&](uint64_t *dst) {
             std::string tok;
-            return bool(line >> tok) && parseU64(tok, dst);
+            return bool(line >> tok) && sim::parseNumber(tok, dst);
         };
         auto u32 = [&](uint32_t *dst) {
             uint64_t v = 0;
@@ -189,21 +165,22 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         };
         auto f64 = [&](double *dst) {
             std::string tok;
-            return bool(line >> tok) && parseF64(tok, dst);
+            return bool(line >> tok) && sim::parseNumber(tok, dst);
+        };
+        // A count of @p unit whose nanoseconds must fit SimDuration.
+        auto dur = [&](sim::SimDuration unit, sim::SimDuration *dst) {
+            uint64_t v = 0;
+            if (!u64(&v) ||
+                v > static_cast<uint64_t>(INT64_MAX / unit))
+                return false;
+            *dst = static_cast<sim::SimDuration>(v) * unit;
+            return true;
         };
         auto durMs = [&](sim::SimDuration *dst) {
-            uint64_t ms = 0;
-            if (!u64(&ms))
-                return false;
-            *dst = sim::milliseconds(static_cast<int64_t>(ms));
-            return true;
+            return dur(sim::milliseconds(1), dst);
         };
         auto durUs = [&](sim::SimDuration *dst) {
-            uint64_t us = 0;
-            if (!u64(&us))
-                return false;
-            *dst = sim::microseconds(static_cast<int64_t>(us));
-            return true;
+            return dur(sim::microseconds(1), dst);
         };
         auto flag = [&](bool *dst) {
             uint64_t v = 0;
@@ -225,13 +202,13 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
             sc.workload = rest();
             good = !sc.workload.empty();
         } else if (key == "scale") {
-            good = f64(&sc.scale);
+            good = f64(&sc.scale) && workload::validScale(sc.scale);
         } else if (key == "seeds") {
             sc.seeds.clear();
             std::string tok;
             while (good && (line >> tok)) {
                 uint64_t s = 0;
-                good = parseU64(tok, &s);
+                good = sim::parseNumber(tok, &s);
                 if (good)
                     sc.seeds.push_back(s);
             }
@@ -348,8 +325,6 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
 
     if (sc.seeds.empty())
         return fail(lineNo, "no seeds configured");
-    if (sc.scale <= 0)
-        return fail(lineNo, "scale must be positive");
     const std::string fe = sc.faults.validate();
     if (!fe.empty())
         return fail(lineNo, "fault schedule: " + fe);
@@ -484,7 +459,7 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
     }
     CampaignProgress *prog = progress.get();
 
-    perf::ThreadPool pool(jobs == 0 ? 1 : jobs);
+    perf::ThreadPool pool(perf::ThreadPool::workersFor(jobs, n));
     parallelFor(pool, n, [&](size_t i) {
         ChaosShardResult &r = out.shards[i];
         r.seed = scenario.seeds[i];

@@ -1,7 +1,6 @@
 #include "usecases/runner.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "blockdev/inflight_window.h"
 #include "recovery/shard.h"
@@ -39,74 +38,56 @@ record(StreamResult &out, const blockdev::IoRequest &req,
 
 } // namespace
 
-StreamResult
-runClosedLoop(blockdev::BlockDevice &dev, const workload::Trace &trace,
-              uint32_t queueDepth, sim::SimDuration thinktime,
-              sim::SimTime start)
-{
-    StreamResult out;
-    out.name = trace.name();
-    out.startTime = start;
-
-    blockdev::InflightWindow window(queueDepth);
-    sim::SimTime t = start;
-    out.endTime = start;
-    for (const auto &rec : trace.records()) {
-        t = window.admit(t);
-        const auto res = dev.submit(rec.req, t);
-        record(out, rec.req, t, res);
-        window.push(res.completeTime + thinktime);
-        out.endTime = std::max(out.endTime, res.completeTime);
-    }
-    return out;
-}
-
 std::vector<StreamResult>
-runTenantsClosedLoop(const std::vector<TenantSpec> &tenants,
-                     sim::SimTime start)
+runClosedLoop(const std::vector<Stream> &streams, sim::SimTime start)
 {
     struct State
     {
-        size_t next = 0;           ///< Next trace index.
-        sim::SimTime ready;    ///< Earliest next submission.
+        blockdev::InflightWindow window;
+        sim::SimTime t;  ///< The stream's host clock.
+        size_t next = 0; ///< Requests issued.
     };
-    std::vector<StreamResult> out(tenants.size());
-    std::vector<State> st(tenants.size());
-    for (size_t i = 0; i < tenants.size(); ++i) {
-        out[i].name = tenants[i].name.empty() ? tenants[i].trace->name()
-                                              : tenants[i].name;
+    std::vector<StreamResult> out(streams.size());
+    std::vector<State> st;
+    st.reserve(streams.size());
+    for (size_t i = 0; i < streams.size(); ++i) {
+        out[i].name = streams[i].name.empty() ? streams[i].trace->name()
+                                              : streams[i].name;
         out[i].startTime = start;
         out[i].endTime = start;
-        st[i].ready = start;
+        st.push_back({blockdev::InflightWindow(streams[i].queueDepth), start});
     }
 
-    auto allForegroundDone = [&]() {
-        for (size_t i = 0; i < tenants.size(); ++i) {
-            if (!tenants[i].loop && st[i].next < tenants[i].trace->size())
-                return false;
-        }
-        return true;
-    };
-
-    while (!allForegroundDone()) {
-        // Pick the runnable tenant with the earliest next submission.
-        size_t best = tenants.size();
-        for (size_t i = 0; i < tenants.size(); ++i) {
-            if (!tenants[i].loop && st[i].next >= tenants[i].trace->size())
+    for (;;) {
+        // Pick the runnable stream whose window admits earliest.
+        size_t best = streams.size();
+        sim::SimTime bestAt;
+        bool foregroundLeft = false;
+        for (size_t i = 0; i < streams.size(); ++i) {
+            const size_t n = streams[i].trace->size();
+            const bool left = st[i].next < n;
+            foregroundLeft = foregroundLeft || (left && !streams[i].loop);
+            if (n == 0 || (!left && !streams[i].loop))
                 continue;
-            if (best == tenants.size() || st[i].ready < st[best].ready)
+            const sim::SimTime at = st[i].window.nextAdmit(st[i].t);
+            if (best == streams.size() || at < bestAt) {
                 best = i;
+                bestAt = at;
+            }
         }
-        assert(best < tenants.size());
+        if (!foregroundLeft)
+            break;
 
-        State &s = st[best];
-        const auto &rec =
-            (*tenants[best].trace)[s.next % tenants[best].trace->size()];
-        const auto res = tenants[best].dev->submit(rec.req, s.ready);
-        record(out[best], rec.req, s.ready, res);
+        const Stream &s = streams[best];
+        State &x = st[best];
+        x.t = x.window.admit(x.t);
+        const blockdev::IoRequest &req =
+            (*s.trace)[x.next % s.trace->size()].req;
+        const auto res = s.dev->submit(req, x.t);
+        record(out[best], req, x.t, res);
         out[best].endTime = std::max(out[best].endTime, res.completeTime);
-        s.ready = res.completeTime + tenants[best].thinktime;
-        ++s.next;
+        x.window.push(res.completeTime + s.thinktime);
+        ++x.next;
     }
     return out;
 }
@@ -126,9 +107,6 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
     uint64_t seq = 0;
     sim::SimTime t = start;
     blockdev::InflightWindow window(dispatchWidth);
-    // QD1 dispatch is closed: the next decision waits for the
-    // completion, so the window stays empty.
-    const bool closed = dispatchWidth == 1;
     recovery::RequestPath path{dev,     nullptr, check, nullptr,
                                nullptr, nullptr, {}};
     sim::SimDuration lastOk = 0;
@@ -159,10 +137,9 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
         }
 
         const QueuedRequest qr = sched.dequeue(t);
-        const auto res = recovery::replayRequest(path, qr.req, t, closed, t,
+        const auto res = recovery::replayRequest(path, qr.req, t, false, t,
                                                  lastOk, acc);
-        if (!closed)
-            window.push(res.completeTime);
+        window.push(res.completeTime);
         // Latency includes queueing: completion minus arrival.
         record(out.stream, qr.req, qr.arrival, res);
         out.stream.endTime = std::max(out.stream.endTime, res.completeTime);

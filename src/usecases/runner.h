@@ -3,15 +3,16 @@
  * Experiment runners: the host-side replay engines every evaluation
  * uses.
  *
- *  - runClosedLoop: one stream at a fixed queue depth with optional
- *    thinktime (fio-style); used by the motivation and Fig. 3 benches.
- *  - runTenantsClosedLoop: several QD1 streams interleaved in global
- *    time order on (views of) one device; the multi-tenant VA-LVM
- *    experiments (Fig. 12).
+ *  - runClosedLoop: one or more closed-loop streams, each at its own
+ *    queue depth and thinktime (fio-style), interleaved in global time
+ *    order on (views of) one device. One stream drives the motivation,
+ *    Fig. 3 and Hybrid PAS runs (Figs. 1, 3 and 15) and `ssdcheck
+ *    replay`; colocated tenants drive VA-LVM (Fig. 12).
  *  - runScheduled: open-loop arrival-timed replay through a Scheduler
- *    with QD1 dispatch; the PAS experiments (Figs. 13-14). Requests
- *    run through the Shard's per-request body (replayRequest), so a
- *    supplied SsdCheck stays in sync and PAS stays calibrated.
+ *    at a dispatch width (1 in the paper's setup); the PAS
+ *    experiments (Figs. 13-14). Requests run through the Shard's
+ *    per-request body (replayRequest), so a supplied SsdCheck stays
+ *    in sync and PAS stays calibrated.
  *
  * Queue depth and dispatch width are one blockdev::InflightWindow.
  */
@@ -50,33 +51,33 @@ struct StreamResult
     double throughputMbps() const;
 };
 
-/** Closed-loop replay of one trace at a queue depth. */
-StreamResult runClosedLoop(blockdev::BlockDevice &dev,
-                           const workload::Trace &trace, uint32_t queueDepth,
-                           sim::SimDuration thinktime, sim::SimTime start);
-
-/** One tenant of a multi-tenant run. */
-struct TenantSpec
+/** One closed-loop stream of a runClosedLoop() run. */
+struct Stream
 {
     const workload::Trace *trace = nullptr;
-    blockdev::BlockDevice *dev = nullptr; ///< Usually a LogicalVolume.
+    blockdev::BlockDevice *dev = nullptr; ///< Often a LogicalVolume.
+    /** Host delay between a completion and the request it frees. */
     sim::SimDuration thinktime = 0;
-    std::string name;
+    std::string name{}; ///< Empty: the trace's name.
     /**
-     * Cycle the trace until every non-looping tenant finishes —
+     * Cycle the trace until every non-looping stream finishes —
      * keeps background interference running for the whole measurement
      * (the multi-tenant experiments need sustained colocation).
      */
     bool loop = false;
+    uint32_t queueDepth = 1; ///< Requests the stream keeps in flight.
 };
 
 /**
- * Interleave several QD1 tenants in global time order. Each
- * non-looping tenant stops after its trace is exhausted; the run ends
- * when all of those do (at least one tenant must not loop).
+ * Closed-loop replay of @p streams in global time order. Each stream
+ * steps its own clock through its own queue-depth window; the stream
+ * whose window admits earliest issues next, ties to the lower index.
+ * Each non-looping stream stops after its trace is exhausted; the run
+ * ends when all of those do (at least one stream must not loop).
+ * @return one result per stream, in order.
  */
-std::vector<StreamResult> runTenantsClosedLoop(
-    const std::vector<TenantSpec> &tenants, sim::SimTime start);
+std::vector<StreamResult> runClosedLoop(const std::vector<Stream> &streams,
+                                        sim::SimTime start);
 
 /** Results of one open-loop scheduled run. */
 struct ScheduledRunResult

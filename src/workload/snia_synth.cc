@@ -73,7 +73,7 @@ Trace
 buildSniaTrace(SniaWorkload w, uint64_t spanPages, double scale,
                uint64_t seed)
 {
-    assert(scale > 0.0 && scale <= 1.0);
+    assert(validScale(scale));
     const SniaPaperStats ps = paperStats(w);
     const uint64_t n = std::max<uint64_t>(
         1000, static_cast<uint64_t>(

@@ -58,11 +58,20 @@ struct SniaPaperStats
 /** Table II's published numbers for @p w. */
 SniaPaperStats paperStats(SniaWorkload w);
 
+/** True when @p scale is a buildSniaTrace() scale: in (0, 1], so
+ *  never NaN. Every front door that takes a scale checks it. */
+inline bool
+validScale(double scale)
+{
+    return scale > 0.0 && scale <= 1.0;
+}
+
 /**
  * Build the synthetic equivalent of @p w.
  * @param spanPages working-set span (should be <= device capacity).
  * @param scale shrink factor on the paper's request count so full
  *        sweeps stay fast; 1.0 reproduces the published counts.
+ *        Must satisfy validScale().
  */
 Trace buildSniaTrace(SniaWorkload w, uint64_t spanPages,
                      double scale = 1.0, uint64_t seed = 12345);

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "recovery/invariants.h"
 #include "resilience/chaos.h"
@@ -138,6 +139,25 @@ TEST(ChaosScenarioTest, ParseRejectsMalformedInput)
         "seeds 1\nread-retry-max 4294967299\n", &sc, &err));
     EXPECT_NE(err.find("bad value for 'read-retry-max'"), std::string::npos)
         << err;
+
+    // Each number is one whole token of its type: no sign on an
+    // unsigned, no NaN or infinity, no duration whose nanosecond count
+    // overflows, no scale outside (0, 1].
+    for (const auto &[text, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"seeds -1\n", "seeds"},
+             {"seeds 1\nunc-probability nan\n", "unc-probability"},
+             {"seeds 1\nhedge-budget nan\n", "hedge-budget"},
+             {"seeds 1\nstall-max-ms 18446744073709\n", "stall-max-ms"},
+             {"seeds 1\nhedge-delay-us 9223372036854776\n",
+              "hedge-delay-us"},
+             {"seeds 1\nscale nan\n", "scale"},
+             {"seeds 1\nscale inf\n", "scale"},
+             {"seeds 1\nscale 2\n", "scale"}}) {
+        EXPECT_FALSE(ChaosScenario::parse(text, &sc, &err)) << text;
+        EXPECT_NE(err.find("bad value for '" + key + "'"), std::string::npos)
+            << text << ": " << err;
+    }
 }
 
 TEST(ChaosScenarioTest, CanonicalReflectsCorrelatedFaultSchedule)

@@ -92,11 +92,14 @@ TEST(CliExitCodes, BadArgumentsExitBadArgs)
               cli::kBadArgs)
         << out;
     // Numeric flags that are not numbers of the flag's type: junk,
-    // trailing junk, a sign on an unsigned count, out of range.
+    // trailing junk, a sign on an unsigned count, out of range (a
+    // scale must be in (0, 1]).
     for (const char *bad :
          {"run --scale abc", "run --scale 0.002 --checkpoint-every 10x",
           "run --scale 0.002 --publish-every -3",
           "run --scale 0.002 --listen 70000", "run --scale 1e999",
+          "run --scale 2", "run --scale 1e30", "bench --scale 1e30",
+          "synth --workload Web --out x --scale 2",
           "bench --jobs -1", "synth --workload Web --out x --span 5k"}) {
         EXPECT_EQ(runCli(bad, &out), cli::kBadArgs) << bad << "\n" << out;
         EXPECT_NE(out.find("bad value for --"), std::string::npos) << out;

@@ -46,15 +46,14 @@ TEST(EndToEndTest, VaLvmIsolatesTenantsOnSsdD)
                         ? usecases::makeVolumeAwareVolumes(
                               dev, dev.config().volumeBits)
                         : usecases::makeLinearVolumes(dev, 2);
-        std::vector<usecases::TenantSpec> tenants(2);
-        tenants[0].trace = &readTrace;
-        tenants[0].dev = vols[0].get();
-        tenants[0].name = "read";
-        tenants[1].trace = &writeTrace;
-        tenants[1].dev = vols[1].get();
-        tenants[1].name = "write";
-        tenants[1].loop = true; // sustained colocation pressure
-        return usecases::runTenantsClosedLoop(tenants, sim::kTimeZero);
+        return usecases::runClosedLoop(
+            {{.trace = &readTrace, .dev = vols[0].get(), .name = "read"},
+             // The writer loops: sustained colocation pressure.
+             {.trace = &writeTrace,
+              .dev = vols[1].get(),
+              .name = "write",
+              .loop = true}},
+            sim::kTimeZero);
     };
 
     const auto linear = runPair(false);
@@ -162,7 +161,10 @@ TEST(EndToEndTest, HybridPasConsistentAndBaselineCliffs)
                         mode == HybridMode::HybridPas ? &check : nullptr,
                         mode, hcfg);
         const auto res = usecases::runClosedLoop(
-            tier, trace, 1, sim::microseconds(100), runner.now());
+            {{.trace = &trace,
+              .dev = &tier,
+              .thinktime = sim::microseconds(100)}},
+            runner.now())[0];
         Out out;
         const size_t w = res.timeline.numWindows();
         size_t n1 = 0, n3 = 0;

@@ -170,7 +170,8 @@ TEST(FaultE2eTest, GrownBadBlocksIncreaseGcFrequency)
         }
         ssd::SsdDevice dev(cfg);
         dev.precondition();
-        usecases::runClosedLoop(dev, trace, 1, 0, sim::kTimeZero);
+        usecases::runClosedLoop({{.trace = &trace, .dev = &dev}},
+                                sim::kTimeZero);
         if (retired != nullptr)
             *retired = dev.faultCounters().blocksRetired;
         return dev.totalCounters().gcInvocations;

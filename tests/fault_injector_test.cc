@@ -221,7 +221,8 @@ TEST(FaultInjectorDeviceTest, WearoutRetiresBlocks)
     dev.precondition();
     const auto trace =
         workload::buildRandomWriteTrace(40000, cfg.userCapacityPages, 5);
-    usecases::runClosedLoop(dev, trace, 1, 0, sim::kTimeZero);
+    usecases::runClosedLoop({{.trace = &trace, .dev = &dev}},
+                            sim::kTimeZero);
     EXPECT_GT(dev.faultCounters().blocksRetired, 0u);
     EXPECT_EQ(dev.totalCounters().retiredBlocks,
               dev.faultCounters().blocksRetired);

@@ -1,12 +1,15 @@
-# Paper-figure pin: run one bench binary and compare its stdout, minus
-# the lines that carry wall time (" wall ") or name the BENCH_*.json it
-# wrote, with the committed fixture byte for byte.
+# Paper-figure and example pin: run one bench or example binary and
+# compare its stdout, minus the lines that carry wall time (" wall ")
+# or name the BENCH_*.json it wrote, with the committed fixture byte
+# for byte. The examples take no flags and ignore the --jobs below.
 #
-#   cmake -DBIN=<bench binary> -DFIXTURE=<fixture.txt> -P figure_pin.cmake
+#   cmake -DBIN=<binary> -DFIXTURE=<fixture.txt> -P figure_pin.cmake
 #
-# To re-record a fixture after a change that is meant to move a figure:
+# To re-record a fixture after a change that is meant to move a figure
+# or an example's output:
 #   ./build/bench/<name> --jobs 4 | grep -v -e ' wall ' -e '^wrote BENCH_' \
 #       > tests/fixtures/figures/<name>.txt
+#   ./build/examples/<name> > tests/fixtures/examples/<name>.txt
 # and give the reason for the new numbers in CHANGES.md.
 
 execute_process(

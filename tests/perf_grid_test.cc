@@ -89,6 +89,19 @@ TEST(TimedBatchTest, KeepsSubmissionOrderAndCounts)
     EXPECT_GE(timing.wallSeconds, 0.0);
 }
 
+TEST(TimedBatchTest, StartsNoMoreWorkersThanTasks)
+{
+    std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
+    for (int i = 0; i < 3; ++i)
+        tasks.emplace_back("task" + std::to_string(i),
+                           []() { return uint64_t{1}; });
+    const BatchTiming timing = runTimedBatch(tasks, 16);
+    EXPECT_EQ(timing.jobs, 16u);
+    EXPECT_EQ(timing.workerThreads, 3u);
+    EXPECT_EQ(timing.simulatedIos(), 3u);
+    EXPECT_EQ(ThreadPool::workersFor(16, 0), 1u);
+}
+
 TEST(BenchGridJsonTest, WriterAndBaselineReaderRoundTrip)
 {
     BatchTiming timing;
@@ -227,8 +240,8 @@ TEST(GoldenDeterminismTest, ClosedLoopReplayIsExactlyRepeatable)
         dev.precondition();
         const auto trace = workload::buildSniaTrace(
             workload::SniaWorkload::Homes, dev.capacityPages(), 0.05, 99);
-        const auto res =
-            usecases::runClosedLoop(dev, trace, 1, 0, sim::SimTime{0});
+        const auto res = usecases::runClosedLoop(
+            {{.trace = &trace, .dev = &dev}}, sim::SimTime{0})[0];
         *latencies = res.latency.sorted();
         *counters = dev.totalCounters();
     };

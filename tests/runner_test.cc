@@ -1,8 +1,11 @@
 /** @file Unit tests for usecases/runner.h (replay engines). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ssdcheck.h"
 #include "ssd/ssd_device.h"
+#include "usecases/lvm.h"
 #include "usecases/pas.h"
 #include "usecases/runner.h"
 #include "usecases/scheduler.h"
@@ -50,7 +53,8 @@ TEST(ClosedLoopRunnerTest, RunsWholeTrace)
     ssd::SsdDevice dev(cfg());
     dev.precondition();
     const auto trace = workload::buildRandomWriteTrace(2000, 8192, 1);
-    const StreamResult res = runClosedLoop(dev, trace, 4, 0, sim::kTimeZero);
+    const StreamResult res = runClosedLoop(
+        {{.trace = &trace, .dev = &dev, .queueDepth = 4}}, sim::kTimeZero)[0];
     EXPECT_EQ(res.requests, 2000u);
     EXPECT_EQ(res.latency.count(), 2000u);
     EXPECT_EQ(res.bytes, 2000u * 4096);
@@ -62,8 +66,11 @@ TEST(ClosedLoopRunnerTest, ThinktimeSlowsTheStream)
 {
     ssd::SsdDevice dev1(cfg()), dev2(cfg());
     const auto trace = workload::buildRandomWriteTrace(500, 8192, 1);
-    const auto fast = runClosedLoop(dev1, trace, 1, 0, sim::kTimeZero);
-    const auto slow = runClosedLoop(dev2, trace, 1, microseconds(500), sim::kTimeZero);
+    const auto fast =
+        runClosedLoop({{.trace = &trace, .dev = &dev1}}, sim::kTimeZero)[0];
+    const auto slow = runClosedLoop(
+        {{.trace = &trace, .dev = &dev2, .thinktime = microseconds(500)}},
+        sim::kTimeZero)[0];
     EXPECT_GT(slow.endTime - slow.startTime,
               fast.endTime - fast.startTime);
 }
@@ -78,8 +85,10 @@ TEST(ClosedLoopRunnerTest, HigherQueueDepthRaisesThroughput)
     p.writeFraction = 0.0; // reads exploit the parallel read pipeline
     p.spanPages = 8192;
     const auto trace = workload::buildMixedTrace(p, "r");
-    const auto qd1 = runClosedLoop(dev1, trace, 1, 0, sim::kTimeZero);
-    const auto qd8 = runClosedLoop(dev2, trace, 8, 0, sim::kTimeZero);
+    const auto qd1 =
+        runClosedLoop({{.trace = &trace, .dev = &dev1}}, sim::kTimeZero)[0];
+    const auto qd8 = runClosedLoop(
+        {{.trace = &trace, .dev = &dev2, .queueDepth = 8}}, sim::kTimeZero)[0];
     EXPECT_GT(qd8.throughputMbps(), qd1.throughputMbps() * 1.5);
 }
 
@@ -88,7 +97,8 @@ TEST(ClosedLoopRunnerTest, SeparatesReadAndWriteLatencies)
     ssd::SsdDevice dev(cfg());
     dev.precondition();
     const auto trace = workload::buildRwMixedTrace(2000, 8192, 2);
-    const StreamResult res = runClosedLoop(dev, trace, 1, 0, sim::kTimeZero);
+    const StreamResult res =
+        runClosedLoop({{.trace = &trace, .dev = &dev}}, sim::kTimeZero)[0];
     EXPECT_GT(res.readLatency.count(), 0u);
     EXPECT_GT(res.writeLatency.count(), 0u);
     EXPECT_EQ(res.readLatency.count() + res.writeLatency.count(),
@@ -102,8 +112,11 @@ TEST(ClosedLoopRunnerTest, QueueDepthEightIsPinned)
     ssd::SsdDevice dev(cfg());
     dev.precondition();
     const auto trace = workload::buildRwMixedTrace(3000, 8192, 21);
-    const StreamResult res =
-        runClosedLoop(dev, trace, 8, microseconds(20), sim::kTimeZero);
+    const StreamResult res = runClosedLoop({{.trace = &trace,
+                                             .dev = &dev,
+                                             .thinktime = microseconds(20),
+                                             .queueDepth = 8}},
+                                           sim::kTimeZero)[0];
     EXPECT_EQ(res.requests, 3000u);
     EXPECT_EQ(res.endTime.ns(), 419098500);
     EXPECT_EQ(digest(res), 8099702339842981219ULL);
@@ -124,14 +137,10 @@ TEST(TenantRunnerTest, TenantsInterleaveOnOneDevice)
             return p;
         }(),
         "reads");
-    std::vector<TenantSpec> tenants(2);
-    tenants[0].trace = &t1;
-    tenants[0].dev = &dev;
-    tenants[0].name = "writer";
-    tenants[1].trace = &t2;
-    tenants[1].dev = &dev;
-    tenants[1].name = "reader";
-    const auto results = runTenantsClosedLoop(tenants, sim::kTimeZero);
+    const auto results =
+        runClosedLoop({{.trace = &t1, .dev = &dev, .name = "writer"},
+                       {.trace = &t2, .dev = &dev, .name = "reader"}},
+                      sim::kTimeZero);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].requests, 1000u);
     EXPECT_EQ(results[1].requests, 1000u);
@@ -139,6 +148,66 @@ TEST(TenantRunnerTest, TenantsInterleaveOnOneDevice)
     // Both ran concurrently: spans overlap.
     EXPECT_GT(results[0].endTime, sim::kTimeZero);
     EXPECT_GT(results[1].endTime, sim::kTimeZero);
+    // The QD1 interleave (earliest ready first, ties to the lower
+    // index), pinned sample by sample.
+    EXPECT_EQ(results[0].endTime.ns(), 266864000);
+    EXPECT_EQ(digest(results[0]), 1573247448146315313ULL);
+    EXPECT_EQ(results[1].endTime.ns(), 345805000);
+    EXPECT_EQ(digest(results[1]), 4507574104285408957ULL);
+}
+
+/** Forwards to a device and records every submit time. */
+class RecordingDevice : public blockdev::BlockDevice
+{
+  public:
+    explicit RecordingDevice(blockdev::BlockDevice &inner) : inner_(inner)
+    {
+    }
+    blockdev::IoResult submit(const blockdev::IoRequest &req,
+                              sim::SimTime now) override
+    {
+        submits.push_back(now);
+        return inner_.submit(req, now);
+    }
+    uint64_t capacitySectors() const override
+    {
+        return inner_.capacitySectors();
+    }
+    void purge(sim::SimTime now) override { inner_.purge(now); }
+    std::string name() const override { return "recording"; }
+
+    std::vector<sim::SimTime> submits;
+
+  private:
+    blockdev::BlockDevice &inner_;
+};
+
+TEST(TenantRunnerTest, DeepStreamBesideALoopingTenant)
+{
+    // A QD8 reader beside a looping QD1 writer on two linear views of
+    // one device: every submit reaches the device in time order, and
+    // the deep stream finishes its whole trace.
+    ssd::SsdDevice ssd(cfg());
+    ssd.precondition();
+    RecordingDevice dev(ssd);
+    const auto vols = makeLinearVolumes(dev, 2);
+    workload::MixedTraceParams p;
+    p.requests = 2000;
+    p.writeFraction = 0.0;
+    p.spanPages = 4096;
+    p.seed = 16;
+    const auto reads = workload::buildMixedTrace(p, "reads");
+    const auto writes = workload::buildRandomWriteTrace(300, 4096, 17);
+    const auto results = runClosedLoop(
+        {{.trace = &reads, .dev = vols[0].get(), .queueDepth = 8},
+         {.trace = &writes, .dev = vols[1].get(), .loop = true}},
+        sim::kTimeZero);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].requests, 2000u);
+    EXPECT_EQ(results[0].latency.count(), 2000u);
+    EXPECT_GT(results[1].requests, writes.size()); // the writer looped
+    ASSERT_EQ(dev.submits.size(), results[0].requests + results[1].requests);
+    EXPECT_TRUE(std::is_sorted(dev.submits.begin(), dev.submits.end()));
 }
 
 TEST(ScheduledRunnerTest, CompletesAllArrivalsAndMeasuresQueueing)

@@ -123,8 +123,11 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
 
 TEST(ThreadPool, BatchTimingReportsActualWorkerCount)
 {
+    // As many tasks as jobs: a pool starts no more workers than tasks.
     std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
     tasks.emplace_back("one", [] { return uint64_t{7}; });
+    tasks.emplace_back("two", [] { return uint64_t{0}; });
+    tasks.emplace_back("three", [] { return uint64_t{0}; });
     const perf::BatchTiming t = perf::runTimedBatch(tasks, 3);
     EXPECT_EQ(t.jobs, 3u);
     EXPECT_EQ(t.workerThreads, 3u);
@@ -140,6 +143,7 @@ TEST(ThreadPool, BenchGridJsonCarriesWorkerThreads)
 {
     std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
     tasks.emplace_back("cell", [] { return uint64_t{11}; });
+    tasks.emplace_back("cell2", [] { return uint64_t{0}; });
     const perf::BatchTiming t = perf::runTimedBatch(tasks, 2);
 
     const std::string path =

@@ -350,7 +350,8 @@ runLint(const std::string &root, const std::vector<std::string> &paths,
         applyAllows(sources[k], raw, perFile[k]);
     };
     if (jobs > 1 && files.size() > 1) {
-        perf::ThreadPool pool(jobs);
+        perf::ThreadPool pool(
+            perf::ThreadPool::workersFor(jobs, files.size()));
         for (size_t k = 0; k < files.size(); ++k)
             pool.submit([&, k]() { scanOne(k); });
         pool.wait();

@@ -78,9 +78,7 @@
  * would sit behind an ioctl-capable block device.
  */
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -91,7 +89,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "blockdev/resilient_device.h"
@@ -110,6 +107,7 @@
 #include "recovery/invariants.h"
 #include "recovery/shard.h"
 #include "recovery/snapshot.h"
+#include "sim/parse_number.h"
 #include "ssd/fault_injector.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
@@ -151,16 +149,20 @@ struct Args
         const auto it = options.find(k);
         if (it == options.end())
             return dflt;
-        const std::string &v = it->second;
         T out{};
-        const char *end = v.data() + v.size();
-        const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-        bool finite = true;
-        if constexpr (std::is_floating_point_v<T>)
-            finite = std::isfinite(out);
-        if (v.empty() || ec != std::errc{} || ptr != end || !finite)
-            throw BadFlag{"bad value for --" + k + ": '" + v + "'"};
+        if (!sim::parseNumber(it->second, &out))
+            throw BadFlag{"bad value for --" + k + ": '" + it->second + "'"};
         return out;
+    }
+
+    /** --scale, or @p dflt when absent.
+     *  @throws BadFlag unless it is a workload::validScale(). */
+    double scale(double dflt) const
+    {
+        const double s = num("scale", dflt);
+        if (!workload::validScale(s))
+            throw BadFlag{"bad value for --scale: must be in (0, 1]"};
+        return s;
     }
 };
 
@@ -389,7 +391,7 @@ cmdSynth(const Args &args)
         std::fprintf(stderr, "--out FILE required\n");
         return cli::kBadArgs;
     }
-    const double scale = args.num("scale", 0.05);
+    const double scale = args.scale(0.05);
     const uint64_t span = args.num<uint64_t>("span", 131072);
     const auto trace = workload::buildSniaTrace(w, span, scale);
     std::ofstream os(out);
@@ -428,8 +430,8 @@ cmdReplay(const Args &args)
     blockdev::ResilientDevice rdev(*dev);
     core::DiagnosisRunner prep(rdev, core::DiagnosisConfig{});
     prep.precondition();
-    const auto res =
-        usecases::runClosedLoop(rdev, *trace, 1, 0, prep.now());
+    const auto res = usecases::runClosedLoop(
+        {{.trace = &*trace, .dev = &rdev}}, prep.now())[0];
     std::printf("%s on %s: %llu requests, %.1f MB/s\n",
                 trace->name().c_str(), dev->name().c_str(),
                 static_cast<unsigned long long>(res.requests),
@@ -517,11 +519,11 @@ cmdBench(const Args &args)
 {
     const unsigned jobs =
         args.num("jobs", perf::ThreadPool::defaultJobs());
-    const double scale = args.num("scale", 0.03);
+    const double scale = args.scale(0.03);
     const uint64_t seedCount = args.num<uint64_t>("seeds", 1);
     const double maxRegress = args.num("max-regress", 0.30);
-    if (seedCount == 0 || scale <= 0) {
-        std::fprintf(stderr, "--seeds and --scale must be positive\n");
+    if (seedCount == 0) {
+        std::fprintf(stderr, "--seeds must be positive\n");
         return cli::kBadArgs;
     }
     // A regress fraction of 1 or more puts the floor at or below zero,
