@@ -20,6 +20,7 @@
 #include "core/ssdcheck.h"
 #include "perf/grid.h"
 #include "perf/thread_pool.h"
+#include "sim/parse_number.h"
 #include "ssd/presets.h"
 #include "ssd/ssd_device.h"
 #include "stats/table_printer.h"
@@ -56,6 +57,28 @@ diagnosePreset(ssd::SsdModel model, uint64_t seedSalt = 0)
 }
 
 /**
+ * The value of numeric flag @p flag in a bench binary's argv, or
+ * @p dflt when absent. A value that is not one whole T exits 2 and
+ * names the flag, as the `ssdcheck` CLI does.
+ */
+template <typename T>
+T
+flagValue(int argc, char **argv, const char *flag, T dflt)
+{
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], flag) != 0)
+            continue;
+        if (!sim::parseNumber(argv[i + 1], &dflt)) {
+            std::fprintf(stderr, "bad value for %s: '%s'\n", flag,
+                         argv[i + 1]);
+            std::exit(2);
+        }
+        break;
+    }
+    return dflt;
+}
+
+/**
  * Parse `--jobs N` from a bench binary's argv (default: all cores).
  * Results are job-count independent — shards are fully isolated — so
  * the flag only changes wall-clock time.
@@ -63,12 +86,7 @@ diagnosePreset(ssd::SsdModel model, uint64_t seedSalt = 0)
 inline unsigned
 parseJobs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    return perf::ThreadPool::defaultJobs();
+    return flagValue(argc, argv, "--jobs", perf::ThreadPool::defaultJobs());
 }
 
 /**

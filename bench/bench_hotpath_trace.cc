@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "obs/audit_log.h"
 #include "obs/registry.h"
@@ -82,10 +83,14 @@ main(int argc, char **argv)
                   "Observability overhead: Fig. 11 replay with the "
                   "trace/metrics/audit sink detached vs attached");
 
-    double maxOverheadPct = -1.0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--max-overhead") == 0)
-            maxOverheadPct = std::strtod(argv[i + 1], nullptr);
+    // No flag: a gate at +inf, which never fails.
+    const double maxOverheadPct =
+        bench::flagValue(argc, argv, "--max-overhead",
+                         std::numeric_limits<double>::infinity());
+    if (maxOverheadPct < 0) {
+        std::fprintf(stderr,
+                     "bad value for --max-overhead: must be >= 0\n");
+        return 2;
     }
 
     // Diagnose once and build the workload once, outside any timing.
@@ -153,7 +158,7 @@ main(int argc, char **argv)
 
     bench::reportBatch("hotpath_trace", timing);
 
-    if (maxOverheadPct >= 0 && overheadPct > maxOverheadPct) {
+    if (overheadPct > maxOverheadPct) {
         std::fprintf(stderr,
                      "FAIL: overhead %.2f%% exceeds gate %.2f%%\n",
                      overheadPct, maxOverheadPct);

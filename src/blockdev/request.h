@@ -119,6 +119,14 @@ struct IoResult
 
     /** True when the request completed successfully. */
     bool ok() const { return status == IoStatus::Ok; }
+
+    /**
+     * True for a first-try success: the one rule for which exchanges
+     * measure the device. A failed or re-issued exchange carries
+     * retry-loop and backoff time, so models, diagnosis, the
+     * supervisor and the accuracy counts all leave it out.
+     */
+    bool clean() const { return ok() && attempts == 1; }
 };
 
 /** Convenience constructors for page-sized (4KB) requests. */

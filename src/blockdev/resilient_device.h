@@ -17,10 +17,10 @@
  *    threshold is 500ms).
  *  - The returned IoResult spans the whole exchange: submitTime is
  *    the original submission, completeTime the final attempt's
- *    completion, attempts counts submissions. Callers feeding latency
- *    models must treat attempts > 1 results as tainted (the latency
- *    contains retry loops and backoff, not device service time) —
- *    SsdCheck::onComplete does this automatically.
+ *    completion, attempts counts submissions. A result that is not
+ *    IoResult::clean() is tainted (its latency contains retry loops
+ *    and backoff, not device service time): SsdCheck::onComplete
+ *    keeps it out of the model and counts it as faulted.
  *
  * Per-status error counters make the device's misbehavior observable
  * to operators (surfaced by the CLI's fault report).

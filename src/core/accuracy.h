@@ -2,17 +2,24 @@
  * @file
  * Prediction-accuracy counts (paper §V-B, Fig. 11).
  *
- * A QD1 closed-loop replay (recovery/shard.h; like the paper's
- * modified fio replay) queries SSDcheck before every request and
- * compares the predicted class against the measured one. NL accuracy
- * and HL accuracy are per-class recall, reported separately because
- * they matter differently (§II-C): missing an HL request loses a
- * scheduling opportunity; flagging an NL request delays
+ * Every loop that feeds the model (the QD1 closed-loop replay of
+ * recovery/shard.h, like the paper's modified fio replay; PAS; Hybrid
+ * PAS) queries SSDcheck before a request and hands it the completion.
+ * SsdCheck::onComplete compares the predicted class against the
+ * measured one and keeps these counts (SsdCheck::accuracy()). NL
+ * accuracy and HL accuracy are per-class recall, reported separately
+ * because they matter differently (§II-C): missing an HL request
+ * loses a scheduling opportunity; flagging an NL request delays
  * latency-critical work.
  */
 #pragma once
 
 #include <cstdint>
+
+namespace ssdcheck::recovery {
+class StateWriter;
+class StateReader;
+} // namespace ssdcheck::recovery
 
 namespace ssdcheck::core {
 
@@ -41,6 +48,20 @@ struct AccuracyResult
                             : static_cast<double>(hlCorrect) /
                                   static_cast<double>(hlTotal);
     }
+
+    bool operator==(const AccuracyResult &) const = default;
+
+    /** Counts accumulated since @p earlier (a snapshot of these). */
+    AccuracyResult since(const AccuracyResult &earlier) const
+    {
+        return {nlTotal - earlier.nlTotal, nlCorrect - earlier.nlCorrect,
+                hlTotal - earlier.hlTotal, hlCorrect - earlier.hlCorrect,
+                faulted - earlier.faulted};
+    }
+
+    /** The Shard's Accuracy snapshot section: the five counts. */
+    void saveState(recovery::StateWriter &w) const;
+    void loadState(recovery::StateReader &r);
 
     /** Fraction of requests that were HL. */
     double hlFraction() const

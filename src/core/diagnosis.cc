@@ -32,18 +32,6 @@ medianOf(std::vector<T> v)
 }
 
 /**
- * A completion that failed or was re-issued by a resilience layer
- * carries retry-loop and backoff latency, not the device's service
- * behaviour: using it as a snippet measurement would let a flaky
- * device poison the extracted features.
- */
-bool
-cleanSample(const blockdev::IoResult &res)
-{
-    return res.ok() && res.attempts == 1;
-}
-
-/**
  * @p n 4KB writes to @p pat's addresses at queue depth @p qd from
  * @p start. @return the clock after the last completion. Templated on
  * the concrete pattern so nextLba() can be devirtualized.
@@ -168,7 +156,7 @@ DiagnosisRunner::collectGcIntervals(uint64_t lbaA, int flipBit)
         req.sectors = kSectorsPerPage;
         const auto res = dev_.submit(req, t);
         t = res.completeTime;
-        if (!cleanSample(res))
+        if (!res.clean())
             continue; // tainted latency is neither a write nor a GC mark
         ++writesSinceGc;
         if (res.latency() > cfg_.gcLatencyThreshold) {
@@ -374,7 +362,7 @@ DiagnosisRunner::backgroundReadTest(
             const auto res = dev_.submit(req, tr);
             lastSubmit = tr;
             ++readsDone;
-            if (!cleanSample(res)) {
+            if (!res.clean()) {
                 // A failed/retried probe read is no flush evidence
                 // either way; drop it without disturbing the spike
                 // detector's phase.
@@ -427,7 +415,7 @@ DiagnosisRunner::readTriggerFlushTest(
         req.lba = randomVolume0Lba(dev_, rng_, volumeBits, true);
         req.sectors = kSectorsPerPage;
         const auto res = dev_.submit(req, t);
-        if (cleanSample(res)) {
+        if (res.clean()) {
             if (res.latency() > cfg_.hlLatencyThreshold)
                 ++hl[k];
             ++total[k];
@@ -460,7 +448,7 @@ DiagnosisRunner::writeOnlyTest(const std::vector<uint32_t> &volumeBits)
         req.lba = randomVolume0Lba(dev_, rng_, volumeBits, false);
         req.sectors = kSectorsPerPage;
         const auto res = dev_.submit(req, t);
-        if (cleanSample(res) && res.latency() > cfg_.hlLatencyThreshold) {
+        if (res.clean() && res.latency() > cfg_.hlLatencyThreshold) {
             eventCounts.push_back(i);
             eventLats.push_back(res.latency());
         }

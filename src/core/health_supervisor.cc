@@ -58,7 +58,7 @@ HealthSupervisor::onCompletion(const IoRequest &req, bool actualHl,
     // Tainted completions measure the error path, not the device;
     // the detectors and the re-diagnosis must not see them (the same
     // rule SsdCheck::onComplete applies to the calibrator).
-    if (!res.ok() || res.attempts > 1)
+    if (!res.clean())
         return;
     ++completions_;
 
@@ -315,7 +315,7 @@ HealthSupervisor::issueProbe(sim::SimTime now)
         ++counters_.probeReads;
     counters_.probeBusyNs += res.latency();
 
-    if (res.ok() && res.attempts == 1) {
+    if (res.clean()) {
         if (req.isWrite())
             volumeWrites_ += req.pages();
         observeFlushSignal(req, res.latency());

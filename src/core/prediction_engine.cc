@@ -125,19 +125,18 @@ PredictionEngine::onSubmit(const blockdev::IoRequest &req, sim::SimTime now)
 
 bool
 PredictionEngine::onComplete(const blockdev::IoRequest &req,
-                             const Prediction &pred, sim::SimTime submit,
-                             sim::SimTime complete,
-                             blockdev::IoStatus status, uint32_t attempts)
+                             const Prediction &pred,
+                             const blockdev::IoResult &res)
 {
     VolumeState &s = volumes_[volumeOf(req)];
-    const sim::SimDuration latency = complete - submit;
+    const sim::SimDuration latency = res.latency();
     const bool actualHl = monitor_.isHighLatency(req, latency);
 
     // Failed or host-retried exchanges carry retry-loop and backoff
     // time, not device service time. Letting them into the EWMAs
     // would poison every later EET; letting them into the accuracy
     // window would charge the model for the device's errors.
-    if (status != blockdev::IoStatus::Ok || attempts > 1)
+    if (!res.clean())
         return actualHl;
 
     // Calibration: route the observation to the right estimator.
@@ -162,7 +161,7 @@ PredictionEngine::onComplete(const blockdev::IoRequest &req,
 
     if (actualHl) {
         // The device was demonstrably busy until this completion.
-        s.ebt = std::max(s.ebt, complete);
+        s.ebt = std::max(s.ebt, res.completeTime);
         // Buffer-model discrepancy (paper §III-C2): HL requests the
         // model did not expect mean flushes are happening off-phase —
         // resynchronize the counter. One unexpected HL can be a
@@ -185,7 +184,7 @@ PredictionEngine::onComplete(const blockdev::IoRequest &req,
         // An NL read that touched NAND proves the volume is idle now;
         // pull back any over-predicted busy window (e.g. a GC that
         // did not materialize).
-        s.ebt = std::min(s.ebt, complete);
+        s.ebt = std::min(s.ebt, res.completeTime);
     }
 
     monitor_.record(pred.hl, actualHl);

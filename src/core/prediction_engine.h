@@ -79,9 +79,8 @@ class PredictionEngine
      * Account a completion: classification, calibration, GC
      * observation, model resync.
      *
-     * Completions that failed (@p status != Ok) or were re-issued by
-     * a resilience layer (@p attempts > 1) measure the error path,
-     * not the device's service behaviour: they are classified and
+     * A completion that is not @p res.clean() measures the error
+     * path, not the device's service behaviour: it is classified and
      * returned but never fed to the calibrator EWMAs, the accuracy
      * window, or the EBT/buffer state.
      *
@@ -89,9 +88,7 @@ class PredictionEngine
      * @return the actual NL/HL classification.
      */
     bool onComplete(const blockdev::IoRequest &req, const Prediction &pred,
-                    sim::SimTime submit, sim::SimTime complete,
-                    blockdev::IoStatus status = blockdev::IoStatus::Ok,
-                    uint32_t attempts = 1);
+                    const blockdev::IoResult &res);
 
     /** Volume index of a request (volume selector, Fig. 8 step 1). */
     uint32_t volumeOf(const blockdev::IoRequest &req) const;

@@ -75,14 +75,6 @@ SsdCheck::forceDisable()
     degraded_ = false;
 }
 
-FeatureSet
-SsdCheck::diagnose(blockdev::BlockDevice &dev, DiagnosisConfig cfg,
-                   sim::SimTime startTime)
-{
-    DiagnosisRunner runner(dev, std::move(cfg), startTime);
-    return runner.extractFeatures();
-}
-
 Prediction
 SsdCheck::predict(const blockdev::IoRequest &req, sim::SimTime now) const
 {
@@ -110,15 +102,23 @@ SsdCheck::onComplete(const blockdev::IoRequest &req, const Prediction &pred,
                      sim::SimTime submit, sim::SimTime complete,
                      blockdev::IoStatus status, uint32_t attempts)
 {
-    bool actualHl;
-    if (engine_ != nullptr)
-        actualHl = engine_->onComplete(req, pred, submit, complete, status,
-                                       attempts);
-    else
-        actualHl = classifyActual(req, complete - submit);
+    const blockdev::IoResult res{submit, complete, status, attempts};
+    const bool actualHl = engine_ != nullptr
+                              ? engine_->onComplete(req, pred, res)
+                              : classifyActual(req, res.latency());
+    // Error-path exchanges measure the resilience layer, not the
+    // prediction model; keep recall clean of them.
+    if (!res.clean()) {
+        ++acc_.faulted;
+    } else if (actualHl) {
+        ++acc_.hlTotal;
+        acc_.hlCorrect += pred.hl ? 1 : 0;
+    } else {
+        ++acc_.nlTotal;
+        acc_.nlCorrect += pred.hl ? 0 : 1;
+    }
     if (trace_ != nullptr || audit_ != nullptr)
-        observeCompletion(req, pred, submit, complete, status, attempts,
-                          actualHl);
+        observeCompletion(req, pred, res, actualHl);
     return actualHl;
 }
 
@@ -135,29 +135,27 @@ SsdCheck::attachObservability(const obs::Sink &sink)
 
 void
 SsdCheck::observeCompletion(const blockdev::IoRequest &req,
-                            const Prediction &pred, sim::SimTime submit,
-                            sim::SimTime complete,
-                            blockdev::IoStatus status, uint32_t attempts,
-                            bool actualHl)
+                            const Prediction &pred,
+                            const blockdev::IoResult &res, bool actualHl)
 {
-    const sim::SimDuration actual = complete - submit;
+    const sim::SimDuration actual = res.latency();
     if (trace_ != nullptr) {
         obs::TraceArg *a = trace_->completeFill(
             "model", "model.predict",
-            obs::TraceTrack{obs::kHostPid, obs::kHostModelTid}, submit,
-            actual, 3);
+            obs::TraceTrack{obs::kHostPid, obs::kHostModelTid},
+            res.submitTime, actual, 3);
         a[0] = {"pred_hl", pred.hl ? 1 : 0};
         a[1] = {"actual_hl", actualHl ? 1 : 0};
         a[2] = {"eet_ns", pred.eet};
     }
     if (audit_ != nullptr) {
         obs::AuditRecord r;
-        r.submit = submit;
+        r.submit = res.submitTime;
         r.actualNs = actual;
         r.predictedEetNs = pred.eet;
         r.type = static_cast<uint8_t>(req.type);
-        r.status = static_cast<uint8_t>(status);
-        r.attempts = attempts;
+        r.status = static_cast<uint8_t>(res.status);
+        r.attempts = res.attempts;
         r.predictedHl = pred.hl;
         r.actualHl = actualHl;
         r.flushExpected = pred.flushExpected;
@@ -227,6 +225,26 @@ SsdCheck::loadState(recovery::StateReader &r)
         return false;
     degraded_ = r.boolean();
     return r.ok();
+}
+
+void
+AccuracyResult::saveState(recovery::StateWriter &w) const
+{
+    w.u64(nlTotal);
+    w.u64(nlCorrect);
+    w.u64(hlTotal);
+    w.u64(hlCorrect);
+    w.u64(faulted);
+}
+
+void
+AccuracyResult::loadState(recovery::StateReader &r)
+{
+    nlTotal = r.u64();
+    nlCorrect = r.u64();
+    hlTotal = r.u64();
+    hlCorrect = r.u64();
+    faulted = r.u64();
 }
 
 } // namespace ssdcheck::core

@@ -4,13 +4,15 @@
  *
  * Typical use:
  *
- *   auto features = SsdCheck::diagnose(device);      // §III-B snippets
- *   SsdCheck check(features);                        // §III-C model
+ *   DiagnosisRunner runner(device, {});              // §III-B snippets
+ *   SsdCheck check(runner.extractFeatures());        // §III-C model
  *   ...
  *   auto pred = check.predict(req, now);             // query
  *   check.onSubmit(req, now);                        // host issues req
  *   auto res = device.submit(req, now);
  *   check.onComplete(req, pred, now, res.completeTime);
+ *   ...
+ *   check.accuracy().hlAccuracy();                   // §V-B recall
  *
  * When the diagnosis could not build a usable model (bufferBytes == 0)
  * or the calibrator turned prediction off, predict() returns NL for
@@ -32,6 +34,7 @@
 #include <optional>
 
 #include "blockdev/block_device.h"
+#include "core/accuracy.h"
 #include "core/calibrator.h"
 #include "core/diagnosis.h"
 #include "core/feature_set.h"
@@ -80,11 +83,6 @@ class SsdCheck
     /** Build the runtime framework from extracted features. */
     explicit SsdCheck(FeatureSet features, RuntimeConfig cfg = {});
 
-    /** Run the §III-B diagnosis snippets against a device. */
-    static FeatureSet diagnose(blockdev::BlockDevice &dev,
-                               DiagnosisConfig cfg = {},
-                               sim::SimTime startTime = sim::kTimeZero);
-
     /** Predict the latency of @p req if submitted at @p now. */
     Prediction predict(const blockdev::IoRequest &req,
                        sim::SimTime now) const;
@@ -93,9 +91,11 @@ class SsdCheck
     void onSubmit(const blockdev::IoRequest &req, sim::SimTime now);
 
     /**
-     * Account a completion. Failed (@p status != Ok) or host-retried
-     * (@p attempts > 1) completions are classified but never pollute
-     * the calibrator's EWMAs or the rolling-accuracy window.
+     * Account and score a completion — the one scorer. A completion
+     * that is not IoResult::clean() (failed, or re-issued by a host
+     * resilience layer) is classified and counted as faulted, but
+     * never pollutes the calibrator's EWMAs or the rolling-accuracy
+     * window; every other completion scores @p pred into accuracy().
      * @return the actual NL/HL classification of the request.
      */
     bool onComplete(const blockdev::IoRequest &req, const Prediction &pred,
@@ -103,13 +103,15 @@ class SsdCheck
                     blockdev::IoStatus status = blockdev::IoStatus::Ok,
                     uint32_t attempts = 1);
 
-    /** onComplete from the completion record itself. */
-    bool onComplete(const blockdev::IoRequest &req, const Prediction &pred,
-                    const blockdev::IoResult &res)
-    {
-        return onComplete(req, pred, res.submitTime, res.completeTime,
-                          res.status, res.attempts);
-    }
+    /**
+     * Confusion counts of every completion scored so far, under any
+     * model: also while the model is unusable, degraded or disabled
+     * (its NL answers are scored), and across hotSwapModel().
+     */
+    const AccuracyResult &accuracy() const { return acc_; }
+
+    /** Restore counts a checkpoint carried beside the model state. */
+    void restoreAccuracy(const AccuracyResult &acc) { acc_ = acc; }
 
     /** Classify a latency without updating any state. */
     bool classifyActual(const blockdev::IoRequest &req,
@@ -175,9 +177,8 @@ class SsdCheck
 
     /** Feed the trace/audit pillars one completed request. */
     void observeCompletion(const blockdev::IoRequest &req,
-                           const Prediction &pred, sim::SimTime submit,
-                           sim::SimTime complete, blockdev::IoStatus status,
-                           uint32_t attempts, bool actualHl);
+                           const Prediction &pred,
+                           const blockdev::IoResult &res, bool actualHl);
 
     FeatureSet features_;
     RuntimeConfig cfg_; // snapshot:skip(construction-time config; loadState only validates it against the checkpoint)
@@ -185,6 +186,7 @@ class SsdCheck
     LatencyMonitor monitor_;
     std::unique_ptr<PredictionEngine> engine_;
     bool degraded_ = false;
+    AccuracyResult acc_; // snapshot:skip(run-cumulative counts, not model state: the Shard writes them as its Accuracy section and restores them through restoreAccuracy)
 
     // Observability (null until attachObservability()).
     obs::TraceRecorder *trace_ = nullptr; // snapshot:skip(non-owning observability hook, re-attached after restore)

@@ -36,7 +36,9 @@ classifyAudit(const AuditRecord &r, sim::SimDuration gcThresholdNs)
         return AuditCause::None;
     // Order matters: taint trumps magnitude (a retried exchange can
     // reach any latency), and GC magnitude trumps flush magnitude
-    // (a GC always rides on a flush).
+    // (a GC always rides on a flush). Taint is blockdev's
+    // !IoResult::clean() on the record's raw bytes (src/obs does not
+    // include src/blockdev).
     if (r.status != 0 || r.attempts > 1)
         return AuditCause::FaultTaint;
     if (gcThresholdNs > 0 && r.actualNs > gcThresholdNs)

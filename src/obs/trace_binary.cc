@@ -9,7 +9,7 @@ namespace ssdcheck::obs {
 
 namespace {
 
-/** Flush granularity: bounds encoder memory in spill mode. */
+/** Flush granularity: the size of the reused output block. */
 constexpr size_t kFlushBytes = 64 * 1024;
 
 size_t
@@ -19,7 +19,49 @@ slotOf(const char *s, size_t mask)
     return (h >> 3) * 0x9E3779B97F4A7C15ull >> 32 & mask;
 }
 
-} // namespace
+/**
+ * Streaming encoder over one recorder's events: header on
+ * construction, then event() per event in record order, then finish()
+ * exactly once. Strings (categories, names, arg keys) are interned by
+ * pointer into one id space in first-reference order. Output is built
+ * in one reused 64 KB block that goes to the stream whole.
+ */
+class TraceBinaryEncoder
+{
+  public:
+    TraceBinaryEncoder(const TraceRecorder &rec, std::ostream &os);
+
+    /** Encode one event of the recorder. */
+    void event(const TraceRecorder::Event &e);
+
+    /** Metadata records + End marker + flush. */
+    void finish();
+
+  private:
+    /** Stream id of the recorder's interned string @p recId. */
+    uint16_t recorderString(uint16_t recId);
+    /** Stream id of @p s, defining it on first reference. */
+    uint16_t intern(const char *s);
+    uint16_t define(const char *s, size_t slot);
+    void flush();
+
+    /** Open-address slot of the pointer intern table. */
+    struct Slot
+    {
+        const char *s = nullptr;
+        uint16_t id = 0;
+    };
+
+    const TraceRecorder &rec_;
+    std::ostream &os_;
+    recovery::StateWriter w_; ///< The current output block.
+    /// Stream id + 1 per recorder string id (0: not referenced yet).
+    /// Categories and names resolve here without hashing; the pointer
+    /// table below stays the one source of ids.
+    std::vector<uint16_t> byRecorderId_;
+    std::vector<Slot> slots_; ///< Power-of-two size, at most half full.
+    size_t defined_ = 0;
+};
 
 TraceBinaryEncoder::TraceBinaryEncoder(const TraceRecorder &rec,
                                        std::ostream &os)
@@ -111,9 +153,8 @@ TraceBinaryEncoder::event(const TraceRecorder::Event &e)
 void
 TraceBinaryEncoder::finish()
 {
-    // Metadata last: it can be registered at any point of a spilled
-    // run, and JSON rendering orders it from the replayed vectors, not
-    // from stream position.
+    // Metadata last: JSON rendering orders it from the replayed
+    // vectors, not from stream position.
     for (const auto &[pid, name] : rec_.processNames()) {
         w_.u8(kTagProcessName);
         w_.u32(pid);
@@ -138,11 +179,13 @@ TraceBinaryEncoder::flush()
     w_.clear();
 }
 
+} // namespace
+
 void
 writeTraceBinary(const TraceRecorder &rec, std::ostream &os)
 {
     TraceBinaryEncoder enc(rec, os);
-    for (size_t i = rec.firstLiveEvent(); i < rec.events(); ++i)
+    for (size_t i = 0; i < rec.events(); ++i)
         enc.event(rec.eventAt(i));
     enc.finish();
 }

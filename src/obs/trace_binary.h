@@ -24,11 +24,8 @@
  *                        u8 numArgs, numArgs x (u16 keyId, i64 value)
  *     0xFF End           last record; nothing may follow.
  *
- * Two producers emit this format with byte-identical output for the
- * same run: writeTraceBinary() over a fully retained recorder, and
- * the recorder's own ring/spill mode (TraceRecorder::spillTo), which
- * streams drained arena chunks so live memory stays bounded. The
- * offline converter (readTraceBinary + writeChromeJson, surfaced as
+ * writeTraceBinary() encodes a retained recorder. The offline
+ * converter (readTraceBinary + writeChromeJson, surfaced as
  * `ssdcheck trace-convert`) replays a file back into a TraceRecorder,
  * so its JSON is byte-identical to what the run itself would have
  * written — by construction, not by parallel implementation.
@@ -58,52 +55,6 @@ enum TraceBinaryTag : uint8_t
     kTagThreadName = 0x03,
     kTagEvent = 0x04,
     kTagEnd = 0xFF,
-};
-
-/**
- * Streaming encoder over one recorder's events: header on
- * construction, then event() per event in record order, then finish()
- * exactly once. Strings (categories, names, arg keys) are interned by
- * pointer into one id space in first-reference order, so any two
- * producers that feed the same event sequence emit identical bytes.
- * Output is built in one reused 64 KB block that goes to the stream
- * whole.
- */
-class TraceBinaryEncoder
-{
-  public:
-    TraceBinaryEncoder(const TraceRecorder &rec, std::ostream &os);
-
-    /** Encode one event of the recorder. */
-    void event(const TraceRecorder::Event &e);
-
-    /** Metadata records + End marker + flush. */
-    void finish();
-
-  private:
-    /** Stream id of the recorder's interned string @p recId. */
-    uint16_t recorderString(uint16_t recId);
-    /** Stream id of @p s, defining it on first reference. */
-    uint16_t intern(const char *s);
-    uint16_t define(const char *s, size_t slot);
-    void flush();
-
-    /** Open-address slot of the pointer intern table. */
-    struct Slot
-    {
-        const char *s = nullptr;
-        uint16_t id = 0;
-    };
-
-    const TraceRecorder &rec_;
-    std::ostream &os_;
-    recovery::StateWriter w_; ///< The current output block.
-    /// Stream id + 1 per recorder string id (0: not referenced yet).
-    /// Categories and names resolve here without hashing; the pointer
-    /// table below stays the one source of ids.
-    std::vector<uint16_t> byRecorderId_;
-    std::vector<Slot> slots_; ///< Power-of-two size, at most half full.
-    size_t defined_ = 0;
 };
 
 /** Encode a fully retained recorder as one trace.bin stream. */

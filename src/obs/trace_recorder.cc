@@ -1,7 +1,5 @@
 #include "obs/trace_recorder.h"
 
-#include "obs/trace_binary.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -176,13 +174,9 @@ TraceRecorder::~TraceRecorder()
 void
 TraceRecorder::advanceEventChunk()
 {
-    if (spill_ != nullptr &&
-        count_ - spilledEvents_ == kSpillLiveChunks << kEventShift)
-        spillOldestChunk();
-    if (count_ - spilledEvents_ == chunks_.size() << kEventShift)
+    if (count_ == chunks_.size() << kEventShift)
         chunks_.push_back(eventPool().acquire());
-    curEventChunk_ =
-        chunks_[(count_ - spilledEvents_) >> kEventShift].get();
+    curEventChunk_ = chunks_[count_ >> kEventShift].get();
 }
 
 void
@@ -193,53 +187,9 @@ TraceRecorder::advanceArgChunk(size_t n)
     const size_t apos = argCount_ & (kChunkArgs - 1);
     if (apos != 0 && apos + n > kChunkArgs)
         argCount_ += kChunkArgs - apos;
-    const size_t live = argCount_ - (spilledArgChunks_ << kArgShift);
-    if (live == argChunks_.size() << kArgShift)
+    if (argCount_ == argChunks_.size() << kArgShift)
         argChunks_.push_back(argPool().acquire());
-    curArgChunk_ = argChunks_[live >> kArgShift].get();
-}
-
-void
-TraceRecorder::spillTo(std::ostream &os)
-{
-    assert(count_ == 0 && "spill mode must be enabled before recording");
-    spill_ = std::make_unique<TraceBinaryEncoder>(*this, os);
-}
-
-void
-TraceRecorder::spillOldestChunk()
-{
-    for (size_t i = spilledEvents_; i < spilledEvents_ + kChunkEvents;
-         ++i)
-        spill_->event(at(i));
-    spilledEvents_ += kChunkEvents;
-    // Rotate the drained event chunk behind the live window for reuse.
-    std::unique_ptr<Event[]> c = std::move(chunks_.front());
-    chunks_.erase(chunks_.begin());
-    chunks_.push_back(std::move(c));
-    // Arg chunks wholly below the first live arg position are drained
-    // too (argPos is monotone across events).
-    const size_t liveArg = count_ == spilledEvents_
-                               ? argCount_
-                               : at(spilledEvents_).argPos;
-    while ((spilledArgChunks_ + 1) << kArgShift <= liveArg) {
-        std::unique_ptr<TraceArg[]> a = std::move(argChunks_.front());
-        argChunks_.erase(argChunks_.begin());
-        argChunks_.push_back(std::move(a));
-        ++spilledArgChunks_;
-    }
-}
-
-void
-TraceRecorder::finishSpill()
-{
-    if (spill_ == nullptr)
-        return;
-    for (size_t i = spilledEvents_; i < count_; ++i)
-        spill_->event(at(i));
-    spilledEvents_ = count_;
-    spill_->finish();
-    spill_.reset();
+    curArgChunk_ = argChunks_[argCount_ >> kArgShift].get();
 }
 
 void
@@ -271,11 +221,6 @@ TraceRecorder::clear()
     std::fill(table_.begin(), table_.end(), 0u);
     processNames_.clear();
     threadNames_.clear();
-    // clear() abandons an in-progress spill stream (the caller owns
-    // the ostream and decides what to do with the partial file).
-    spill_.reset();
-    spilledEvents_ = 0;
-    spilledArgChunks_ = 0;
 }
 
 void
@@ -301,7 +246,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
            << ",\"tid\":" << track.tid << ",\"args\":{\"name\":\""
            << escapeJson(name) << "\"}}";
     }
-    for (size_t i = spilledEvents_; i < count_; ++i) {
+    for (size_t i = 0; i < count_; ++i) {
         const Event &e = at(i);
         sep();
         os << "{\"name\":\"" << strings_[e.nameId] << "\",\"cat\":\""

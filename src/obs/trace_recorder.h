@@ -37,8 +37,6 @@
 
 namespace ssdcheck::obs {
 
-class TraceBinaryEncoder;
-
 /** One event argument: a string-literal key and an integer value. */
 struct TraceArg
 {
@@ -120,24 +118,6 @@ class TraceRecorder
 
     /** Events recorded so far (metadata names not counted). */
     size_t events() const { return count_; }
-
-    /**
-     * Ring/spill mode: bound live memory to a few arena chunks and
-     * stream drained chunks to @p os as the binary trace format
-     * (trace.bin — see obs/trace_binary.h). Must be enabled before
-     * the first event; finishSpill() completes the stream. The bytes
-     * are identical to writeTraceBinary() over a fully retained
-     * recorder of the same run. While spilling, only the live window
-     * is addressable in memory: writeChromeJson() renders the tail
-     * only — full JSON comes from converting the spilled stream.
-     */
-    void spillTo(std::ostream &os);
-
-    /** Encode the live tail + metadata + End, and leave spill mode. */
-    void finishSpill();
-
-    /** First event still in memory (> 0 only while spilling). */
-    size_t firstLiveEvent() const { return spilledEvents_; }
 
     void clear();
 
@@ -307,21 +287,14 @@ class TraceRecorder
     uint16_t internSlow(const char *s);
     void advanceEventChunk();
     void advanceArgChunk(size_t n);
-    void spillOldestChunk();
 
-    // Chunk indexing is relative to the spill window: chunks_[0] holds
-    // event spilledEvents_ (0 when not spilling, so the subtraction
-    // folds away into the plain lookup).
     const Event &at(size_t i) const
     {
-        return chunks_[(i >> kEventShift) -
-                       (spilledEvents_ >> kEventShift)]
-                      [i & (kChunkEvents - 1)];
+        return chunks_[i >> kEventShift][i & (kChunkEvents - 1)];
     }
     const TraceArg *argsAt(uint32_t pos) const
     {
-        return &argChunks_[(pos >> kArgShift) - spilledArgChunks_]
-                          [pos & (kChunkArgs - 1)];
+        return &argChunks_[pos >> kArgShift][pos & (kChunkArgs - 1)];
     }
 
     std::vector<const char *> strings_;
@@ -334,14 +307,6 @@ class TraceRecorder
     TraceArg *curArgChunk_ = nullptr;  ///< argChunks_.back(), raw.
     std::vector<std::pair<uint32_t, std::string>> processNames_;
     std::vector<std::pair<TraceTrack, std::string>> threadNames_;
-    // Ring/spill state (see spillTo). Live events are
-    // [spilledEvents_, count_); drained chunks rotate to the back of
-    // their vector for reuse, so steady-state spilling allocates
-    // nothing.
-    static constexpr size_t kSpillLiveChunks = 4;
-    std::unique_ptr<TraceBinaryEncoder> spill_;
-    size_t spilledEvents_ = 0;
-    size_t spilledArgChunks_ = 0;
 };
 
 } // namespace ssdcheck::obs

@@ -78,15 +78,18 @@ checkInvariants(const Shard &run)
     }
 
     // -- counter conservation across layers ------------------------------
-    const core::AccuracyResult &acc = run.accuracy();
-    const uint64_t completed = acc.nlTotal + acc.hlTotal + acc.faulted;
-    if (completed != run.cursor())
-        violations.push_back(
-            fmt("accuracy counters account for %" PRIu64
-                " requests but the workload cursor is at %" PRIu64,
-                completed, run.cursor()));
-    if (acc.nlCorrect > acc.nlTotal || acc.hlCorrect > acc.hlTotal)
-        violations.push_back("accuracy correct counts exceed totals");
+    // The model scores every workload completion (and nothing else).
+    if (const core::SsdCheck *check = run.checkPtr()) {
+        const core::AccuracyResult &acc = check->accuracy();
+        const uint64_t completed = acc.nlTotal + acc.hlTotal + acc.faulted;
+        if (completed != run.cursor())
+            violations.push_back(
+                fmt("accuracy counters account for %" PRIu64
+                    " requests but the workload cursor is at %" PRIu64,
+                    completed, run.cursor()));
+        if (acc.nlCorrect > acc.nlTotal || acc.hlCorrect > acc.hlTotal)
+            violations.push_back("accuracy correct counts exceed totals");
+    }
 
     const blockdev::ResilienceCounters &rc = run.resilient().counters();
     const core::HealthSupervisor *sup = run.supervisorPtr();

@@ -24,7 +24,7 @@ const std::vector<int64_t> kHostLatencyBounds = {
 blockdev::IoResult
 replayRequest(RequestPath &p, const blockdev::IoRequest &req,
               sim::SimTime arrival, bool closed, sim::SimTime &t,
-              sim::SimDuration &lastOk, core::AccuracyResult &acc)
+              sim::SimDuration &lastOk)
 {
     // Open pacing: t is the host submit clock — it follows arrivals
     // even while the device's completion horizon runs ahead (that gap
@@ -69,19 +69,6 @@ replayRequest(RequestPath &p, const blockdev::IoRequest &req,
     }
     if (res.ok())
         lastOk = res.completeTime - t;
-    if (!res.ok() || res.attempts > 1) {
-        // Error-path exchanges measure the resilience layer, not the
-        // prediction model; keep recall clean of them.
-        ++acc.faulted;
-    } else if (actualHl) {
-        ++acc.hlTotal;
-        if (pred.hl)
-            ++acc.hlCorrect;
-    } else {
-        ++acc.nlTotal;
-        if (!pred.hl)
-            ++acc.nlCorrect;
-    }
     if (closed)
         t = res.completeTime;
     return res;
@@ -242,7 +229,7 @@ Shard::step()
         origin_ + static_cast<sim::SimDuration>(cursor_) * spec_.arrivalPeriod;
     const blockdev::IoResult res = replayRequest(
         path, trace_.records()[cursor_].req, arrival,
-        spec_.pacing == Pacing::Closed, t_, lastOk_, acc_);
+        spec_.pacing == Pacing::Closed, t_, lastOk_);
     ++cursor_;
     return res;
 }
@@ -265,13 +252,9 @@ Shard::checkpoint() const
     add(SectionId::Resilient, *rdev_);
     if (pdev_)
         add(SectionId::Resilience, *pdev_);
-    StateWriter acc;
-    acc.u64(acc_.nlTotal);
-    acc.u64(acc_.nlCorrect);
-    acc.u64(acc_.hlTotal);
-    acc.u64(acc_.hlCorrect);
-    acc.u64(acc_.faulted);
-    snap.addSection(SectionId::Accuracy, acc.take());
+    // The facade's counts: a shard without a model scored nothing.
+    if (check_)
+        add(SectionId::Accuracy, check_->accuracy());
     add(SectionId::Registry, registry_);
     StateWriter identity;
     identity.str(spec_.identity);
@@ -340,6 +323,7 @@ Shard::restore(const Snapshot &snap, std::string *detail, bool forceConfig)
                 " section but this run has no " + name + " layer");
         return LoadError::Malformed;
     };
+    core::AccuracyResult acc;
     LoadError e = load(SectionId::Device, "device", dev_.get());
     if (e == LoadError::Ok)
         e = load(SectionId::Model, "model", check_.get());
@@ -350,21 +334,14 @@ Shard::restore(const Snapshot &snap, std::string *detail, bool forceConfig)
     if (e == LoadError::Ok)
         e = load(SectionId::Resilience, "resilience", pdev_.get());
     if (e == LoadError::Ok)
-        e = loadSection(
-            snap, SectionId::Accuracy, "accuracy",
-            [&](StateReader &r) {
-                acc_.nlTotal = r.u64();
-                acc_.nlCorrect = r.u64();
-                acc_.hlTotal = r.u64();
-                acc_.hlCorrect = r.u64();
-                acc_.faulted = r.u64();
-            },
-            detail);
+        e = load(SectionId::Accuracy, "accuracy", check_ ? &acc : nullptr);
     if (e == LoadError::Ok)
         e = load(SectionId::Registry, "registry", &registry_);
     if (e != LoadError::Ok)
         return e;
 
+    if (check_)
+        check_->restoreAccuracy(acc);
     cursor_ = snap.requestIndex();
     t_ = sim::SimTime{snap.simTimeNs()};
     return LoadError::Ok;
@@ -386,15 +363,15 @@ evaluatePredictionAccuracy(blockdev::BlockDevice &dev, core::SsdCheck &check,
             s.metrics->histogram("host_latency_ns", kHostLatencyBounds);
     RequestPath path{dev,     nullptr,   &check,      supervisor,
                      s.trace, s.metrics, hostLatency};
-    core::AccuracyResult acc;
+    const core::AccuracyResult before = check.accuracy();
     sim::SimTime t = startTime;
     sim::SimDuration lastOk = 0;
     for (const auto &rec : trace.records())
         (void)replayRequest(path, rec.req, startTime, /*closed=*/true, t,
-                            lastOk, acc);
+                            lastOk);
     if (endTime != nullptr)
         *endTime = t;
-    return acc;
+    return check.accuracy().since(before);
 }
 
 } // namespace ssdcheck::recovery

@@ -59,9 +59,11 @@ struct RequestPath
 };
 
 /**
- * The host's one per-request body: Shard::step(),
- * evaluatePredictionAccuracy() and usecases::runScheduled() all
- * dispatch through it.
+ * The host's one per-request body and the only one that feeds the
+ * model: Shard::step(), evaluatePredictionAccuracy(),
+ * usecases::runScheduled() and usecases::HybridTier all dispatch
+ * through it. The model's onComplete scores each prediction into
+ * SsdCheck::accuracy().
  * @param arrival the request's arrival time (the clock floor).
  * @param closed closed pacing: the clock advances to the completion.
  * @param t the host clock.
@@ -71,7 +73,7 @@ struct RequestPath
 [[nodiscard]] blockdev::IoResult
 replayRequest(RequestPath &p, const blockdev::IoRequest &req,
               sim::SimTime arrival, bool closed, sim::SimTime &t,
-              sim::SimDuration &lastOk, core::AccuracyResult &acc);
+              sim::SimDuration &lastOk);
 
 /** Everything that shapes one shard's deterministic evolution. */
 struct ShardSpec
@@ -143,7 +145,8 @@ class Shard
     bool done() const { return cursor_ >= trace_.size(); }
 
     /** Replay one request (precondition: !done()). @return its result
-     *  (already tallied: callers that only drive the run drop it). */
+     *  (already scored by the model: callers that only drive the run
+     *  drop it). */
     [[nodiscard]] blockdev::IoResult step();
 
     /** Requests replayed so far (the resume point of a snapshot). */
@@ -167,13 +170,12 @@ class Shard
         lastOk_ = lastOk;
     }
 
-    /** Accuracy confusion counts so far. */
-    const core::AccuracyResult &accuracy() const { return acc_; }
-
     /**
      * Serialize the complete shard state at the current request
      * boundary into a snapshot (header: FNV-1a of spec.identity — the
-     * compatibility key — cursor and virtual time).
+     * compatibility key — cursor and virtual time). A shard with a
+     * model also writes the model's accuracy() as the Accuracy
+     * section; one without a model writes none.
      */
     Snapshot checkpoint() const;
 
@@ -218,7 +220,6 @@ class Shard
     obs::Histogram hostLatency_;
     obs::TraceRecorder *spans_ = nullptr;
     workload::Trace trace_;
-    core::AccuracyResult acc_;
     sim::SimTime t_;
     sim::SimTime origin_;
     sim::SimDuration lastOk_ = 0;
@@ -252,6 +253,7 @@ loadSection(const Snapshot &snap, SectionId id, const char *name,
  * @p dev takes every submit, @p check predicts before each — through
  * Shard::step()'s per-request body. For callers that carry one model
  * across workloads or diagnose in place.
+ * @return what @p check's accuracy() gained over this trace.
  * @param endTime receives the virtual finish time (optional).
  * @param supervisor optional: pumped for probe I/O between requests
  *        and fed every completion.

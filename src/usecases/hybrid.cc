@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "recovery/shard.h"
+
 namespace ssdcheck::usecases {
 
 HybridTier::HybridTier(ssd::SsdDevice &ssd, nvm::NvmDevice &nvm,
@@ -29,15 +31,12 @@ HybridTier::ssdSubmit(const blockdev::IoRequest &req, sim::SimTime now)
     // The model is fed here, not by the host loop: only the tier knows
     // which requests reach the SSD, and NVM-served requests must not
     // train the SSD's model.
-    core::Prediction pred;
-    if (check_ != nullptr) {
-        pred = check_->predict(req, now);
-        check_->onSubmit(req, now);
-    }
-    const auto res = ssd_.submit(req, now);
-    if (check_ != nullptr)
-        check_->onComplete(req, pred, res);
-    return res;
+    recovery::RequestPath path{ssd_,    nullptr, check_, nullptr,
+                               nullptr, nullptr, {}};
+    sim::SimTime t = now;
+    sim::SimDuration lastOk = 0;
+    return recovery::replayRequest(path, req, now, /*closed=*/false, t,
+                                   lastOk);
 }
 
 void

@@ -90,7 +90,8 @@ class HybridTier : public blockdev::BlockDevice
     /** Run background drain ticks scheduled before @p now. */
     void drainUpTo(sim::SimTime now);
 
-    /** Submit a request to the SSD, keeping the model in sync. */
+    /** Submit a request to the SSD through recovery::replayRequest,
+     *  which predicts it, feeds the model and scores the result. */
     blockdev::IoResult ssdSubmit(const blockdev::IoRequest &req,
                                  sim::SimTime now);
 

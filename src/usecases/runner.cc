@@ -110,7 +110,6 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
     recovery::RequestPath path{dev,     nullptr, check, nullptr,
                                nullptr, nullptr, {}};
     sim::SimDuration lastOk = 0;
-    core::AccuracyResult acc;
 
     while (next < records.size() || !sched.empty()) {
         if (sched.empty()) {
@@ -137,8 +136,8 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
         }
 
         const QueuedRequest qr = sched.dequeue(t);
-        const auto res = recovery::replayRequest(path, qr.req, t, false, t,
-                                                 lastOk, acc);
+        const auto res =
+            recovery::replayRequest(path, qr.req, t, false, t, lastOk);
         window.push(res.completeTime);
         // Latency includes queueing: completion minus arrival.
         record(out.stream, qr.req, qr.arrival, res);

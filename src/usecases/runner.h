@@ -12,7 +12,8 @@
  *    at a dispatch width (1 in the paper's setup); the PAS
  *    experiments (Figs. 13-14). Requests run through the Shard's
  *    per-request body (replayRequest), so a supplied SsdCheck stays
- *    in sync and PAS stays calibrated.
+ *    in sync, PAS stays calibrated and SsdCheck::accuracy() scores
+ *    every completion.
  *
  * Queue depth and dispatch width are one blockdev::InflightWindow.
  */

@@ -14,7 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/accuracy.h"
 #include "recovery/invariants.h"
+#include "recovery/state_io.h"
 #include "resilience/chaos.h"
 
 namespace ssdcheck::resilience {
@@ -329,6 +331,52 @@ TEST(ChaosShardTest, CheckpointRestoreMidShardIsBitIdentical)
         recovery::checkInvariants(resumed->shard());
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations[0]);
+}
+
+TEST(ChaosShardTest, ModelLessShardCheckpointsNoAccuracy)
+{
+    // Without a supervisor the shard has no model: nothing scores its
+    // completions, so its checkpoint carries no Accuracy section.
+    const ChaosScenario sc = smallScenario();
+    std::string err;
+    const std::unique_ptr<ChaosShard> golden =
+        ChaosShard::create(sc, 1, false, &err);
+    ASSERT_NE(golden, nullptr) << err;
+    const std::unique_ptr<ChaosShard> first =
+        ChaosShard::create(sc, 1, false, &err);
+    ASSERT_NE(first, nullptr) << err;
+    ASSERT_EQ(first->shard().checkPtr(), nullptr);
+    const uint64_t half = first->shard().trace().size() / 2;
+    while (first->shard().cursor() < half)
+        first->step();
+    const recovery::Snapshot snap = first->checkpoint();
+    EXPECT_EQ(snap.section(recovery::SectionId::Accuracy), nullptr);
+
+    // Counts this shard has no model to hold are refused.
+    recovery::Snapshot withCounts = snap;
+    recovery::StateWriter w;
+    core::AccuracyResult{}.saveState(w);
+    withCounts.addSection(recovery::SectionId::Accuracy, w.take());
+    const std::unique_ptr<ChaosShard> refused =
+        ChaosShard::create(sc, 1, true, &err);
+    ASSERT_NE(refused, nullptr) << err;
+    std::string detail;
+    EXPECT_EQ(refused->restore(withCounts, &detail),
+              recovery::LoadError::Malformed);
+    EXPECT_NE(detail.find("accuracy"), std::string::npos) << detail;
+
+    const std::unique_ptr<ChaosShard> resumed =
+        ChaosShard::create(sc, 1, true, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    ASSERT_EQ(resumed->restore(snap, &detail), recovery::LoadError::Ok)
+        << detail;
+    while (!golden->done())
+        golden->step();
+    while (!resumed->done())
+        resumed->step();
+    EXPECT_EQ(resumed->digest(), golden->digest());
+    EXPECT_EQ(resumed->checkpoint().serialize(),
+              golden->checkpoint().serialize());
 }
 
 TEST(ChaosShardTest, RestoreRejectsSnapshotFromAnotherSeed)

@@ -3,10 +3,16 @@
  * installed `ssdcheck` binary: every failure class maps to one stable
  * code (tools/exit_codes.h), `help` exits 0 and prints the
  * consolidated table verbatim, and bad invocations are distinguishable
- * from crashed runs by code alone.
+ * from crashed runs by code alone. The soak harness, the audit tool
+ * and the bench binaries are held to the same rule for bad numbers.
  *
  * Build wiring provides:
  *   SSDCHECK_CLI_BIN  absolute path of the ssdcheck CLI binary
+ *   SSDCHECK_{SOAK,AUDIT}_BIN, SSDCHECK_{JOBS,TRACE}_BENCH_BIN
+ *                     the soak harness, the audit tool, a bench that
+ *                     reads --jobs and the one that reads
+ *                     --max-overhead
+ *   SSDCHECK_FIXTURE_DIR  tests/fixtures
  */
 #include <cstdio>
 #include <cstdlib>
@@ -24,12 +30,11 @@ namespace {
 
 namespace cli = ssdcheck::cli;
 
-/** Run the real binary; returns its exit code, captures stdout+stderr. */
+/** Run @p bin; returns its exit code, captures stdout+stderr. */
 int
-runCli(const std::string &args, std::string *out)
+runBin(const std::string &bin, const std::string &args, std::string *out)
 {
-    const std::string cmd =
-        std::string(SSDCHECK_CLI_BIN) + " " + args + " 2>&1";
+    const std::string cmd = bin + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     if (pipe == nullptr)
@@ -42,6 +47,13 @@ runCli(const std::string &args, std::string *out)
         *out = os.str();
     const int status = pclose(pipe);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Run the real ssdcheck binary. */
+int
+runCli(const std::string &args, std::string *out)
+{
+    return runBin(SSDCHECK_CLI_BIN, args, out);
 }
 
 TEST(CliExitCodes, EnumValuesAreTheDocumentedContract)
@@ -240,6 +252,53 @@ TEST(CliExitCodes, ChaosCampaignPassesAndVerifies)
         << out;
     EXPECT_NE(out.find("campaign digest:"), std::string::npos) << out;
     std::remove(path.c_str());
+}
+
+TEST(ToolExitCodes, BadNumericFlagsAreRefusedByName)
+{
+    // The soak harness, the audit tool and the bench binaries read
+    // numbers through the CLI's rule too: junk, a sign on an unsigned
+    // count and a negative bound are refused, naming the flag, before
+    // any work starts. The soak cases point --cli at nothing, so a
+    // harness that let a bad value through stops at that check
+    // instead of starting a campaign.
+    struct Case
+    {
+        std::string bin;
+        std::string args;
+        int code;
+        std::string says;
+    };
+    const std::string soak = SSDCHECK_SOAK_BIN;
+    const std::string noCli = " --cli /nonexistent/ssdcheck";
+    const std::string audit = std::string(SSDCHECK_AUDIT_BIN) + " " +
+                              SSDCHECK_FIXTURE_DIR + "/audit_v1.jsonl";
+    const std::string jobs = SSDCHECK_JOBS_BENCH_BIN;
+    const std::string trace = SSDCHECK_TRACE_BENCH_BIN;
+    for (const Case &c : std::vector<Case>{
+             {soak, "--scale abc" + noCli, 2, "bad value for --scale"},
+             {soak, "--cycles -1" + noCli, 2, "bad value for --cycles"},
+             {soak, "--cycels 3" + noCli, 2, "unknown argument '--cycels'"},
+             {soak, "stray" + noCli, 2, "unknown argument 'stray'"},
+             {soak, "--supervisor stray" + noCli, 2,
+              "unknown argument 'stray'"},
+             {audit, "--gc-threshold-ns abc", 1,
+              "bad value for --gc-threshold-ns"},
+             {audit, "--gc-threshold-ns -1", 1,
+              "bad value for --gc-threshold-ns"},
+             {jobs, "--jobs abc", 2, "bad value for --jobs"},
+             {jobs, "--jobs -1", 2, "bad value for --jobs"},
+             {trace, "--max-overhead abc", 2, "bad value for --max-overhead"},
+             {trace, "--max-overhead -1", 2,
+              "bad value for --max-overhead"}}) {
+        std::string out;
+        EXPECT_EQ(runBin(c.bin, c.args, &out), c.code)
+            << c.bin << " " << c.args << "\n" << out;
+        EXPECT_NE(out.find(c.says), std::string::npos)
+            << c.bin << " " << c.args << "\n" << out;
+    }
+    std::string out;
+    EXPECT_EQ(runBin(audit, "--gc-threshold-ns 3000000", &out), 0) << out;
 }
 
 } // namespace

@@ -121,13 +121,16 @@ TEST(FaultE2eTest, TransientReadErrorsRetriedAndExcluded)
         const Prediction pf = faulty.predict(req, t);
         faulty.onSubmit(req, t);
         const auto res = rdev.submit(req, t);
-        faulty.onComplete(req, pf, res);
-        if (!res.ok() || res.attempts > 1)
+        faulty.onComplete(req, pf, res.submitTime, res.completeTime,
+                          res.status, res.attempts);
+        if (!res.clean())
             ++taintedSeen;
 
         const Prediction pc = clean.predict(req, t);
         clean.onSubmit(req, t);
-        clean.onComplete(req, pc, cleanDev.submit(req, t));
+        const auto cres = cleanDev.submit(req, t);
+        clean.onComplete(req, pc, cres.submitTime, cres.completeTime,
+                         cres.status, cres.attempts);
         t = res.completeTime + microseconds(10);
     }
 

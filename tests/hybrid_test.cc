@@ -212,6 +212,28 @@ TEST(HybridTierTest, FailedSsdCompletionsDoNotTrainTheModel)
               ssd.requestsServed() - served0 - failed);
 }
 
+TEST(HybridTierTest, ModelScoresExactlyTheSsdRequests)
+{
+    // Foreground misses and background drain writes both reach the
+    // SSD, and each one is scored; NVM-served requests are not.
+    ssd::SsdDevice ssd(ssdCfg());
+    nvm::NvmDevice nvm(nvmCfg(256));
+    core::SsdCheck check(features());
+    HybridTier tier(ssd, nvm, &check, HybridMode::HybridPas);
+    const auto trace = workload::buildRwMixedTrace(5000, 8192, 4);
+    for (const auto &rec : trace.records())
+        ASSERT_NE(rec.req.type, blockdev::IoType::Trim);
+
+    const uint64_t served0 = ssd.requestsServed();
+    SimTime t;
+    for (const auto &rec : trace.records())
+        t = tier.submit(rec.req, t).completeTime;
+    const core::AccuracyResult &acc = check.accuracy();
+    EXPECT_GT(nvm.totalWritesAbsorbed(), 0u);
+    EXPECT_EQ(acc.nlTotal + acc.hlTotal + acc.faulted,
+              ssd.requestsServed() - served0);
+}
+
 TEST(HybridTierTest, PurgeClearsBothTiers)
 {
     ssd::SsdDevice ssd(ssdCfg());

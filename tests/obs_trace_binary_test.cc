@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests of the binary trace format (obs/trace_binary.h): JSON
- * byte-identity through the offline converter, retained-vs-spill
- * stream identity, the committed byte fixture, read/write round trips
- * over random feeds, bounded live memory while spilling, and sticky
+ * byte-identity through the offline converter, the committed byte
+ * fixture, read/write round trips over random feeds, and sticky
  * rejection of malformed streams.
  */
 #include <cstring>
@@ -138,20 +137,13 @@ TEST(TraceBinary, WritersReproduceCommittedFixture)
 {
     // tests/fixtures/trace_v1.ssdtrbin holds the bytes the format-v1
     // writer produced for this feed before the encoder was rewritten
-    // for speed. Comparing two producers only catches drift that
-    // hits one of them; this pins both to the bytes themselves.
+    // for speed: a round trip cannot catch drift that the writer and
+    // reader share, so this pins the writer to the bytes themselves.
     const std::string pinned = readFixture("trace_v1.ssdtrbin");
     ASSERT_FALSE(pinned.empty()) << "missing tests/fixtures/trace_v1.ssdtrbin";
     TraceRecorder tr;
     record(tr, 64);
     EXPECT_EQ(binaryOf(tr), pinned);
-
-    std::ostringstream spillOs;
-    TraceRecorder spilling;
-    spilling.spillTo(spillOs);
-    record(spilling, 64);
-    spilling.finishSpill();
-    EXPECT_EQ(spillOs.str(), pinned);
 }
 
 TEST(TraceBinary, RandomFeedsRoundTripByteForByte)
@@ -177,14 +169,6 @@ TEST(TraceBinary, RandomFeedsRoundTripByteForByte)
                                      << reader.error();
         EXPECT_EQ(reader.recorder().events(), events) << "seed " << seed;
         EXPECT_TRUE(binaryOf(reader.recorder()) == bytes) << "seed " << seed;
-
-        // The recorder's spill path shares the encoder: same bytes.
-        std::ostringstream spillOs;
-        TraceRecorder spilling;
-        spilling.spillTo(spillOs);
-        recordRandom(spilling, seed, events, names, keys);
-        spilling.finishSpill();
-        EXPECT_TRUE(spillOs.str() == bytes) << "seed " << seed;
     }
 }
 
@@ -214,46 +198,6 @@ TEST(TraceBinary, EmptyRecorderRoundTrips)
     std::ostringstream out;
     ASSERT_TRUE(convertTraceBinaryToJson(in, out, nullptr));
     EXPECT_EQ(out.str(), tr.toChromeJson());
-}
-
-TEST(TraceBinary, SpillStreamMatchesRetainedStream)
-{
-    // Enough events to drain the live window several times over
-    // (kChunkEvents = 1024, live window = 4 chunks).
-    constexpr size_t kEvents = 10000;
-
-    TraceRecorder retained;
-    record(retained, kEvents);
-
-    std::ostringstream spillOs;
-    TraceRecorder spilling;
-    spilling.spillTo(spillOs);
-    record(spilling, kEvents);
-    spilling.finishSpill();
-
-    EXPECT_EQ(spilling.events(), kEvents);
-    EXPECT_EQ(spilling.firstLiveEvent(), kEvents);
-    EXPECT_EQ(spillOs.str(), binaryOf(retained));
-
-    // And the converted JSON equals what the retained recorder
-    // renders directly.
-    std::istringstream in(spillOs.str());
-    std::ostringstream json;
-    std::string error;
-    ASSERT_TRUE(convertTraceBinaryToJson(in, json, &error)) << error;
-    EXPECT_EQ(json.str(), retained.toChromeJson());
-}
-
-TEST(TraceBinary, SpillKeepsLiveWindowBounded)
-{
-    std::ostringstream os;
-    TraceRecorder tr;
-    tr.spillTo(os);
-    record(tr, 50000);
-    // Live events never exceed the ring window.
-    EXPECT_LE(tr.events() - tr.firstLiveEvent(),
-              TraceRecorder::kChunkEvents * 4);
-    tr.finishSpill();
 }
 
 TEST(TraceBinary, RejectsMalformedStreams)

@@ -155,7 +155,7 @@ TEST_F(EngineTest, OnCompleteClassifiesAndCalibrates)
     const Prediction p = engine_.predict(w, kTimeZero);
     engine_.onSubmit(w, kTimeZero);
     const bool hl =
-        engine_.onComplete(w, p, kTimeZero, kTimeZero + microseconds(40));
+        engine_.onComplete(w, p, {kTimeZero, kTimeZero + microseconds(40)});
     EXPECT_FALSE(hl);
     // NL write observation moved the write-service EWMA toward 40us.
     EXPECT_NE(calib_.writeService(),
@@ -170,11 +170,13 @@ TEST_F(EngineTest, UnexpectedHlStreakResyncsBufferCounter)
     EXPECT_EQ(engine_.wbModel(0).counter(), 2u);
     Prediction nl;
     nl.hl = false;
-    engine_.onComplete(makeWrite4k(2), nl, kTimeZero + microseconds(10),
-                       kTimeZero + microseconds(800));
+    engine_.onComplete(makeWrite4k(2), nl,
+                       {kTimeZero + microseconds(10),
+                        kTimeZero + microseconds(800)});
     EXPECT_EQ(engine_.wbModel(0).counter(), 2u); // first strike only
-    engine_.onComplete(makeWrite4k(3), nl, kTimeZero + microseconds(900),
-                       kTimeZero + microseconds(1700));
+    engine_.onComplete(makeWrite4k(3), nl,
+                       {kTimeZero + microseconds(900),
+                        kTimeZero + microseconds(1700)});
     EXPECT_EQ(engine_.wbModel(0).counter(), 0u); // resynced
 }
 
@@ -185,11 +187,14 @@ TEST_F(EngineTest, CorrectHlPredictionClearsStreak)
     nl.hl = false;
     Prediction hl;
     hl.hl = true;
-    engine_.onComplete(makeWrite4k(1), nl, kTimeZero, kTimeZero + microseconds(800));
-    engine_.onComplete(makeRead4k(2), hl, kTimeZero + microseconds(900),
-                       kTimeZero + microseconds(1900));
-    engine_.onComplete(makeWrite4k(3), nl, kTimeZero + microseconds(2000),
-                       kTimeZero + microseconds(2800));
+    engine_.onComplete(makeWrite4k(1), nl,
+                       {kTimeZero, kTimeZero + microseconds(800)});
+    engine_.onComplete(makeRead4k(2), hl,
+                       {kTimeZero + microseconds(900),
+                        kTimeZero + microseconds(1900)});
+    engine_.onComplete(makeWrite4k(3), nl,
+                       {kTimeZero + microseconds(2000),
+                        kTimeZero + microseconds(2800)});
     // Streak was interrupted: still only one strike, no resync.
     EXPECT_EQ(engine_.wbModel(0).counter(), 1u);
 }
@@ -203,8 +208,9 @@ TEST_F(EngineTest, NlReadPullsBackOverpredictedEbt)
     // An NL read completing earlier proves the device is idle.
     Prediction p;
     p.hl = false;
-    engine_.onComplete(makeRead4k(50), p, kTimeZero + microseconds(10),
-                       kTimeZero + microseconds(100));
+    engine_.onComplete(makeRead4k(50), p,
+                       {kTimeZero + microseconds(10),
+                        kTimeZero + microseconds(100)});
     EXPECT_LE(engine_.ebt(0), kTimeZero + microseconds(100));
 }
 
@@ -212,7 +218,8 @@ TEST_F(EngineTest, GcObservationFeedsGcModel)
 {
     Prediction p;
     p.hl = true;
-    engine_.onComplete(makeWrite4k(0), p, kTimeZero, kTimeZero + milliseconds(20));
+    engine_.onComplete(makeWrite4k(0), p,
+                       {kTimeZero, kTimeZero + milliseconds(20)});
     EXPECT_EQ(engine_.gcModel(0).history().size(), 1u);
 }
 

@@ -73,7 +73,7 @@ runGolden(const RunParams &params, uint64_t stride)
     g.finalBytes = run->checkpoint().serialize();
     g.finalMetrics = run->metricsJson();
     g.finalNow = run->now();
-    g.finalAcc = run->accuracy();
+    g.finalAcc = run->checkPtr()->accuracy();
     return g;
 }
 
@@ -117,11 +117,12 @@ TEST(RecoveryRoundtripTest, ResumeAtEveryStrideIsBitIdentical)
             << "final snapshot bytes differ from the uninterrupted run";
         EXPECT_EQ(resumed->metricsJson(), golden.finalMetrics);
         EXPECT_EQ(resumed->now(), golden.finalNow);
-        EXPECT_EQ(resumed->accuracy().nlTotal, golden.finalAcc.nlTotal);
-        EXPECT_EQ(resumed->accuracy().nlCorrect, golden.finalAcc.nlCorrect);
-        EXPECT_EQ(resumed->accuracy().hlTotal, golden.finalAcc.hlTotal);
-        EXPECT_EQ(resumed->accuracy().hlCorrect, golden.finalAcc.hlCorrect);
-        EXPECT_EQ(resumed->accuracy().faulted, golden.finalAcc.faulted);
+        const core::AccuracyResult &acc = resumed->checkPtr()->accuracy();
+        EXPECT_EQ(acc.nlTotal, golden.finalAcc.nlTotal);
+        EXPECT_EQ(acc.nlCorrect, golden.finalAcc.nlCorrect);
+        EXPECT_EQ(acc.hlTotal, golden.finalAcc.hlTotal);
+        EXPECT_EQ(acc.hlCorrect, golden.finalAcc.hlCorrect);
+        EXPECT_EQ(acc.faulted, golden.finalAcc.faulted);
     }
 }
 

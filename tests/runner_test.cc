@@ -298,6 +298,26 @@ TEST(ScheduledRunnerTest, WidePasDispatchIsPinned)
     EXPECT_EQ(digest(res.stream), 7450685606043227067ULL);
 }
 
+TEST(ScheduledRunnerTest, PasRunScoresEveryCompletion)
+{
+    ssd::SsdDevice dev(cfg());
+    dev.precondition();
+    core::FeatureSet fs;
+    fs.bufferBytes = 8 * 4096;
+    fs.bufferType = core::BufferTypeFeature::Back;
+    fs.flushAlgorithms.fullTrigger = true;
+    fs.observedFlushOverheadNs = milliseconds(2);
+    core::SsdCheck check(fs);
+    auto trace = workload::buildRwMixedTrace(2000, 8192, 24);
+    sim::Rng rng(25);
+    trace.assignPoissonArrivals(5000.0, rng);
+    PasScheduler sched(check);
+    (void)runScheduled(dev, sched, trace, sim::kTimeZero, &check);
+    const core::AccuracyResult &acc = check.accuracy();
+    EXPECT_EQ(acc.nlTotal + acc.hlTotal + acc.faulted, trace.size());
+    EXPECT_GT(acc.hlTotal, 0u);
+}
+
 TEST(ScheduledRunnerTest, IdlePeriodsAreSkipped)
 {
     ssd::SsdDevice dev(cfg());

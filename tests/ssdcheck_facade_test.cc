@@ -79,12 +79,45 @@ TEST(SsdCheckFacadeTest, ClassifyActualUsesThresholds)
     EXPECT_TRUE(check.classifyActual(makeRead4k(0), microseconds(251)));
 }
 
-TEST(SsdCheckFacadeTest, StaticDiagnoseRunsEndToEnd)
+TEST(SsdCheckFacadeTest, UnusableModelScoresEveryCompletionAsNl)
 {
-    ssd::SsdDevice dev(ssd::makePreset(ssd::SsdModel::A));
-    const FeatureSet fs = SsdCheck::diagnose(dev);
-    EXPECT_TRUE(fs.bufferModelUsable());
-    EXPECT_EQ(fs.bufferBytes, 248u * 1024);
+    SsdCheck check(FeatureSet{});
+    ASSERT_EQ(check.engine(), nullptr);
+    const auto req = makeRead4k(1);
+    const Prediction p = check.predict(req, sim::kTimeZero);
+    ASSERT_FALSE(p.hl);
+    check.onComplete(req, p, sim::kTimeZero,
+                     sim::kTimeZero + microseconds(100)); // NL
+    check.onComplete(req, p, sim::kTimeZero,
+                     sim::kTimeZero + milliseconds(5)); // HL
+    check.onComplete(req, p, sim::kTimeZero,
+                     sim::kTimeZero + milliseconds(5),
+                     blockdev::IoStatus::MediaError, 1); // faulted
+    check.onComplete(req, p, sim::kTimeZero,
+                     sim::kTimeZero + microseconds(100),
+                     blockdev::IoStatus::Ok, 2); // retried: faulted
+    const AccuracyResult want{1, 1, 1, 0, 2};
+    EXPECT_EQ(check.accuracy(), want);
+}
+
+TEST(SsdCheckFacadeTest, HotSwapKeepsAccuracy)
+{
+    SsdCheck check(usableFeatures());
+    sim::SimTime t;
+    for (int i = 0; i < 64; ++i) {
+        const auto req = makeWrite4k(i);
+        const Prediction p = check.predict(req, t);
+        check.onSubmit(req, t);
+        const sim::SimDuration lat =
+            i % 16 == 15 ? milliseconds(1) : microseconds(40);
+        check.onComplete(req, p, t, t + lat);
+        t += lat;
+    }
+    const AccuracyResult before = check.accuracy();
+    ASSERT_EQ(before.nlTotal + before.hlTotal, 64u);
+    ASSERT_GT(before.hlTotal, 0u);
+    check.hotSwapModel(usableFeatures());
+    EXPECT_EQ(check.accuracy(), before);
 }
 
 TEST(SsdCheckFacadeTest, PredictIsSideEffectFree)

@@ -11,15 +11,17 @@
  * re-classification (default: the paper-default 3ms GC threshold,
  * matching an unadapted LatencyMonitor).
  *
- * Exit codes: 0 report printed, 1 usage, 2 unreadable/malformed input.
+ * Exit codes: 0 report printed, 1 usage (including a
+ * --gc-threshold-ns that is not one non-negative integer),
+ * 2 unreadable/malformed input.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
 #include "obs/audit_log.h"
+#include "sim/parse_number.h"
 
 int
 main(int argc, char **argv)
@@ -30,7 +32,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--gc-threshold-ns") == 0 &&
             i + 1 < argc) {
-            gcThreshold = std::strtoll(argv[++i], nullptr, 10);
+            ++i;
+            if (!ssdcheck::sim::parseNumber(argv[i], &gcThreshold) ||
+                gcThreshold < 0) {
+                std::fprintf(stderr, "bad value for --gc-threshold-ns: "
+                                     "'%s'\n",
+                             argv[i]);
+                return 1;
+            }
         } else if (path.empty()) {
             path = argv[i];
         } else {

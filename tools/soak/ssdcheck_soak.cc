@@ -31,8 +31,9 @@
  *      when a real run wedges), and SIGKILLs the child.
  *
  * Exit 0 only when every cycle verified and the final comparison is
- * byte-for-byte identical. All randomness is seeded (--seed); the
- * campaign itself is reproducible.
+ * byte-for-byte identical; exit 2, before any run, on a word or flag
+ * the harness does not take or a value that does not parse. All
+ * randomness is seeded (--seed); the campaign itself is reproducible.
  */
 #include <signal.h>
 #include <sys/stat.h>
@@ -55,10 +56,17 @@
 #include "recovery/invariants.h"
 #include "recovery/shard.h"
 #include "recovery/snapshot.h"
+#include "sim/parse_number.h"
 
 using namespace ssdcheck;
 
 namespace {
+
+/** A word or flag the harness does not take, or a bad flag value. */
+struct BadFlag
+{
+    std::string what;
+};
 
 struct Args
 {
@@ -69,21 +77,48 @@ struct Args
         const auto it = options.find(k);
         return it == options.end() ? dflt : it->second;
     }
+
+    /** Numeric flag @p k, or @p dflt when absent.
+     *  @throws BadFlag unless the whole value is one T. */
+    template <typename T>
+    T num(const std::string &k, T dflt) const
+    {
+        const auto it = options.find(k);
+        if (it == options.end())
+            return dflt;
+        T out{};
+        if (!sim::parseNumber(it->second, &out))
+            throw BadFlag{"bad value for --" + k + ": '" + it->second + "'"};
+        return out;
+    }
 };
 
+/** Every flag the harness reads, and whether it takes a value. */
+const std::map<std::string, bool> kFlags = {
+    {"help", false}, {"supervisor", false}, {"no-telemetry-probe", false},
+    {"cli", true}, {"cycles", true}, {"device", true}, {"workload", true},
+    {"scale", true}, {"faults", true}, {"timeline-ms", true},
+    {"checkpoint-every", true}, {"torn-every", true}, {"seed", true},
+    {"dir", true}};
+
+/** @throws BadFlag on a word or flag not in kFlags, or a flag that
+ *  takes a value given none. */
 Args
 parse(int argc, char **argv)
 {
     Args a;
     for (int i = 1; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) != 0)
+        const std::string arg = argv[i];
+        const auto flag = arg.rfind("--", 0) == 0 ? kFlags.find(arg.substr(2))
+                                                 : kFlags.end();
+        if (flag == kFlags.end())
+            throw BadFlag{"unknown argument '" + arg + "'"};
+        std::string &value = a.options[flag->first];
+        if (!flag->second)
             continue;
-        key = key.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
-            a.options[key] = argv[++i];
-        else
-            a.options[key] = "";
+        if (i + 1 == argc)
+            throw BadFlag{arg + " needs a value"};
+        value = argv[++i];
     }
     return a;
 }
@@ -332,31 +367,41 @@ probeTelemetry(const std::string &cli, const std::string &dir)
 int
 main(int argc, char **argv)
 {
-    const Args args = parse(argc, argv);
+    Args args;
+    recovery::RunParams params;
+    uint64_t cycles = 0;
+    uint64_t ckptEvery = 0;
+    uint64_t tornEvery = 0;
+    uint64_t seed = 0;
+    try {
+        args = parse(argc, argv);
+        params.scale = args.num("scale", 0.02);
+        params.timelineMs = args.num<int64_t>("timeline-ms", 0);
+        cycles = args.num<uint64_t>("cycles", 50);
+        ckptEvery = args.num<uint64_t>("checkpoint-every", 64);
+        tornEvery = args.num<uint64_t>("torn-every", 5);
+        seed = args.num<uint64_t>("seed", 1);
+    } catch (const BadFlag &e) {
+        std::fprintf(stderr, "ssdcheck_soak: %s (see --help)\n",
+                     e.what.c_str());
+        return 2;
+    }
     if (args.has("help")) {
         std::printf(
             "ssdcheck_soak [--cli PATH] [--cycles N] [--device X]\n"
             "              [--workload NAME] [--scale F] [--faults P]\n"
-            "              [--supervisor] [--checkpoint-every N]\n"
-            "              [--torn-every K] [--seed S] [--dir D]\n"
-            "              [--no-telemetry-probe]\n");
+            "              [--supervisor] [--timeline-ms N]\n"
+            "              [--checkpoint-every N] [--torn-every K]\n"
+            "              [--seed S] [--dir D] [--no-telemetry-probe]\n");
         return 1;
     }
 
-    recovery::RunParams params;
     params.device = args.get("device", "A");
     params.faults = args.get("faults", "hostile");
     params.workload = args.get("workload", "RW Mixed");
-    params.scale = std::stod(args.get("scale", "0.02"));
     params.supervisor = args.has("supervisor");
-    params.timelineMs = std::stoll(args.get("timeline-ms", "0"));
 
     const std::string cli = args.get("cli", selfDir() + "/ssdcheck");
-    const uint64_t cycles = std::stoull(args.get("cycles", "50"));
-    const uint64_t ckptEvery =
-        std::stoull(args.get("checkpoint-every", "64"));
-    const uint64_t tornEvery = std::stoull(args.get("torn-every", "5"));
-    const uint64_t seed = std::stoull(args.get("seed", "1"));
     const std::string dir = args.get("dir", "soak-work");
     if (!fileExists(cli)) {
         std::fprintf(stderr, "cannot find ssdcheck CLI at %s "

@@ -819,7 +819,7 @@ cmdRun(const Args &args)
               [&](std::ostream &os) { audit.writeJsonl(os); }))
         return cli::kBadArgs;
 
-    const core::AccuracyResult &acc = run->accuracy();
+    const core::AccuracyResult &acc = run->checkPtr()->accuracy();
     std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
                 run->trace().name().c_str(), run->trace().size(),
                 acc.hlFraction() * 100);
