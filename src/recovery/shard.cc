@@ -227,9 +227,10 @@ Shard::step()
                      spans_, &registry_, hostLatency_};
     const sim::SimTime arrival =
         origin_ + static_cast<sim::SimDuration>(cursor_) * spec_.arrivalPeriod;
-    const blockdev::IoResult res = replayRequest(
-        path, trace_.records()[cursor_].req, arrival,
-        spec_.pacing == Pacing::Closed, t_, lastOk_);
+    const blockdev::IoRequest req = trace_[cursor_].req;
+    const blockdev::IoResult res =
+        replayRequest(path, req, arrival, spec_.pacing == Pacing::Closed,
+                      t_, lastOk_);
     ++cursor_;
     return res;
 }

@@ -58,7 +58,14 @@ struct SsdConfig
     /** True when any read flushes a non-empty buffer (paper §III-B3). */
     bool readTriggerFlush = false;
 
-    /** Overprovisioning: physical = user * (1 + opRatio) per volume. */
+    /**
+     * Requested overprovisioning: physical >= user * (1 + opRatio) per
+     * volume. volumeGeometry() rounds the block count up to whole
+     * blocks per plane, so the effective ratio is a little higher:
+     * A 0.2812 (for 0.28), B 0.2656 (0.26), C 0.1641 (0.16),
+     * D 0.3125 (0.30), E 0.3125 (0.30), F 0.2422 (0.24) and
+     * G 0.2266 (0.22).
+     */
     double opRatio = 0.28;
 
     /** NAND timing constants. */

@@ -81,7 +81,7 @@ runClosedLoop(const std::vector<Stream> &streams, sim::SimTime start)
         const Stream &s = streams[best];
         State &x = st[best];
         x.t = x.window.admit(x.t);
-        const blockdev::IoRequest &req =
+        const blockdev::IoRequest req =
             (*s.trace)[x.next % s.trace->size()].req;
         const auto res = s.dev->submit(req, x.t);
         record(out[best], req, x.t, res);

@@ -12,16 +12,25 @@
 
 namespace ssdcheck::workload {
 
+Trace::Word
+Trace::pack(const blockdev::IoRequest &req)
+{
+    assert(req.lba <= kTraceMaxLba && req.sectors <= kTraceMaxSectors &&
+           req.type <= blockdev::IoType::Trim);
+    return req.lba << kLbaShift | uint64_t{req.sectors} << kSectorsShift |
+           static_cast<uint64_t>(req.type);
+}
+
 void
 Trace::add(const blockdev::IoRequest &req, sim::SimDuration arrival)
 {
     assert(arrival >= lastArrival());
     if (arrival != 0 || !arrivals_.empty()) {
         // The first nonzero arrival backfills the zeros before it.
-        arrivals_.resize(records_.size());
+        arrivals_.resize(words_.size());
         arrivals_.push_back(arrival);
     }
-    records_.push_back(TraceRecord{req});
+    words_.push_back(pack(req));
 }
 
 void
@@ -34,13 +43,13 @@ TraceStats
 Trace::characterize() const
 {
     TraceStats s;
-    s.requests = records_.size();
-    if (records_.empty())
+    s.requests = words_.size();
+    if (words_.empty())
         return s;
     uint64_t writes = 0;
     uint64_t randoms = 0;
     uint64_t prevEnd = ~0ULL;
-    for (const auto &r : records_) {
+    for (const TraceRecord r : records()) {
         if (r.req.isWrite())
             ++writes;
         s.totalBytes += r.req.bytes();
@@ -61,7 +70,7 @@ void
 Trace::assignPoissonArrivals(double iops, sim::Rng &rng)
 {
     assert(iops > 0.0);
-    arrivals_.resize(records_.size());
+    arrivals_.resize(words_.size());
     sim::SimDuration t = 0;
     for (auto &a : arrivals_) {
         a = t;
@@ -77,8 +86,8 @@ Trace::assignPoissonArrivals(double iops, sim::Rng &rng)
 void
 Trace::truncate(size_t n)
 {
-    if (records_.size() > n)
-        records_.resize(n);
+    if (words_.size() > n)
+        words_.resize(n);
     if (arrivals_.size() > n)
         arrivals_.resize(n);
 }
@@ -105,8 +114,8 @@ void
 Trace::saveText(std::ostream &os) const
 {
     os << "# " << name_ << "\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-        const blockdev::IoRequest &req = records_[i].req;
+    for (size_t i = 0; i < words_.size(); ++i) {
+        const blockdev::IoRequest req = unpack(words_[i]).req;
         os << arrival(i) << ' ' << typeChar(req.type) << ' ' << req.lba
            << ' ' << req.sectors << "\n";
     }
@@ -155,7 +164,9 @@ Trace::loadText(std::istream &is, size_t *errorLine)
             memchr(p, '\n', static_cast<size_t>(end - p)));
         const char *stop = nl != nullptr ? nl : end;
         *line = std::string_view(p, static_cast<size_t>(stop - p));
-        if (!line->empty() && line->back() == '\r')
+        // Every trailing '\r', so a header that ends in one still
+        // names the trace as saveText writes it back.
+        while (!line->empty() && line->back() == '\r')
             line->remove_suffix(1);
         p = nl != nullptr ? nl + 1 : end;
         ++lineNo;
@@ -170,7 +181,7 @@ Trace::loadText(std::istream &is, size_t *errorLine)
     Trace t(std::string(line.substr(2)));
     // saveText emits ~20 bytes per record; a generous estimate avoids
     // regrowth without overshooting much.
-    t.records_.reserve(static_cast<size_t>(end - p) / 12 + 1);
+    t.words_.reserve(static_cast<size_t>(end - p) / 12 + 1);
     while (nextLine(&line)) {
         if (line.empty())
             continue;
@@ -202,6 +213,8 @@ Trace::loadText(std::istream &is, size_t *errorLine)
         if (!parseField(lp, lend, &req.lba) ||
             !parseField(lp, lend, &req.sectors))
             return fail();
+        if (req.lba > kTraceMaxLba || req.sectors > kTraceMaxSectors)
+            return fail(); // past what a stored record can hold
         while (lp < lend && (*lp == ' ' || *lp == '\t'))
             ++lp;
         if (lp < lend)
@@ -210,7 +223,7 @@ Trace::loadText(std::istream &is, size_t *errorLine)
             return fail(); // arrivals must be monotone
         t.add(req, arrival);
     }
-    t.records_.shrink_to_fit();
+    t.words_.shrink_to_fit();
     t.arrivals_.shrink_to_fit();
     return t;
 }

@@ -213,6 +213,22 @@ TEST(CliExitCodes, MalformedTraceExitsBadArgs)
               cli::kBadArgs)
         << out;
     EXPECT_NE(out.find("line 3"), std::string::npos) << out;
+
+    // A record the trace column cannot hold is refused where it
+    // enters, not replayed as a device fault or a 2^18-sector read.
+    for (const auto &[body, at] :
+         {std::pair<std::string, std::string>{
+              "# big\n0 w 17592186044416 8\n0 r 8 262144\n", "line 2"},
+          {"# big\n0 w 8 8\n0 r 8 262144\n", "line 3"}}) {
+        {
+            std::ofstream f(path);
+            f << body;
+        }
+        EXPECT_EQ(runCli("replay --device A --trace " + path, &out),
+                  cli::kBadArgs)
+            << out;
+        EXPECT_NE(out.find(at), std::string::npos) << out;
+    }
     std::remove(path.c_str());
 }
 

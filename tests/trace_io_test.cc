@@ -143,6 +143,35 @@ TEST(TraceIoTest, ParseErrorsReportTheOffendingLine)
     std::stringstream blanks("# x\n0 w 8 8 \t\n");
     EXPECT_TRUE(Trace::loadText(blanks, &line).has_value());
     EXPECT_EQ(line, 999u);
+
+    // An lba of 2^44 or a sector count of 2^18 does not fit a stored
+    // record: refused at its line, not wrapped into another request.
+    std::stringstream bigLba("# x\n0 r 8 8\n0 w 17592186044416 8\n");
+    EXPECT_FALSE(Trace::loadText(bigLba, &line).has_value());
+    EXPECT_EQ(line, 3u);
+
+    std::stringstream bigSectors("# x\n0 r 8 8\n\n0 w 8 8\n0 r 8 262144\n");
+    EXPECT_FALSE(Trace::loadText(bigSectors, &line).has_value());
+    EXPECT_EQ(line, 5u);
+
+    // One below each limit loads, and round-trips.
+    line = 999;
+    std::stringstream atLimits("# x\n0 w 17592186044415 262143\n"
+                               "5 t 17592186044415 8\n7 r 0 262143\n");
+    const auto limits = Trace::loadText(atLimits, &line);
+    ASSERT_TRUE(limits.has_value());
+    EXPECT_EQ(line, 999u);
+    ASSERT_EQ(limits->size(), 3u);
+    EXPECT_EQ((*limits)[0].req.type, IoType::Write);
+    EXPECT_EQ((*limits)[0].req.lba, kTraceMaxLba);
+    EXPECT_EQ((*limits)[0].req.sectors, kTraceMaxSectors);
+    EXPECT_EQ((*limits)[1].req.type, IoType::Trim);
+    EXPECT_EQ((*limits)[1].req.lba, kTraceMaxLba);
+    EXPECT_EQ((*limits)[2].req.sectors, kTraceMaxSectors);
+    std::stringstream again;
+    limits->saveText(again);
+    EXPECT_EQ(again.str(), "# x\n0 w 17592186044415 262143\n"
+                           "5 t 17592186044415 8\n7 r 0 262143\n");
 }
 
 } // namespace

@@ -1,8 +1,10 @@
 /** @file Unit tests for workload/trace.h. */
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
+#include "sim/rng.h"
 #include "workload/trace.h"
 
 namespace ssdcheck::workload {
@@ -152,6 +154,65 @@ TEST(TraceTest, TruncateShortens)
     EXPECT_EQ(t.size(), 3u);
     t.truncate(100); // no-op
     EXPECT_EQ(t.size(), 3u);
+}
+
+bool
+same(const IoRequest &a, const IoRequest &b)
+{
+    return a.lba == b.lba && a.sectors == b.sectors && a.type == b.type;
+}
+
+TEST(TraceTest, PackedColumnHoldsItsWholeRange)
+{
+    // The four (lba, sectors) corners in every type, then 10^5 seeded
+    // requests anywhere in the range a stored record can hold.
+    std::vector<IoRequest> want;
+    for (const uint64_t lba : {uint64_t{0}, kTraceMaxLba})
+        for (const uint32_t sectors : {uint32_t{0}, kTraceMaxSectors})
+            for (const IoType type :
+                 {IoType::Read, IoType::Write, IoType::Trim})
+                want.push_back({.lba = lba, .sectors = sectors, .type = type});
+    sim::Rng rng(25);
+    for (int i = 0; i < 100000; ++i)
+        want.push_back(
+            {.lba = rng.nextBelow(kTraceMaxLba + 1),
+             .sectors =
+                 static_cast<uint32_t>(rng.nextBelow(kTraceMaxSectors + 1)),
+             .type = static_cast<IoType>(rng.nextBelow(3))});
+    Trace t("full range");
+    sim::SimDuration at = 0;
+    for (const IoRequest &r : want) {
+        t.add(r, at);
+        at += static_cast<sim::SimDuration>(rng.nextBelow(1000));
+    }
+    ASSERT_EQ(t.size(), want.size());
+    ASSERT_EQ(t.records().size(), t.size());
+
+    // Each reader reports its first wrong record (want.size(): none).
+    auto firstBad = [&](auto get) {
+        for (size_t i = 0; i < want.size(); ++i)
+            if (!same(get(i), want[i]))
+                return i;
+        return want.size();
+    };
+    EXPECT_EQ(firstBad([&](size_t i) { return t[i].req; }), want.size());
+    const auto view = t.records();
+    EXPECT_EQ(firstBad([&](size_t i) { return view[i].req; }), want.size());
+    std::vector<IoRequest> iterated;
+    for (const auto &rec : t.records())
+        iterated.push_back(rec.req);
+    ASSERT_EQ(iterated.size(), want.size());
+    EXPECT_EQ(firstBad([&](size_t i) { return iterated[i]; }), want.size());
+
+    std::stringstream ss;
+    t.saveText(ss);
+    const auto back = Trace::loadText(ss);
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->size(), want.size());
+    EXPECT_EQ(firstBad([&](size_t i) { return (*back)[i].req; }),
+              want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(back->arrival(i), t.arrival(i)) << i;
 }
 
 TEST(TraceTest, EmptyTraceCharacterize)
